@@ -1,12 +1,15 @@
 //! Microbenchmarks of the simulator's core data structures: the lock
 //! table, the LRU cache, the event calendar, the FIFO multi-server, and
 //! the random distributions. These are the inner loops of every
-//! simulation run. Runs on the dependency-free
-//! [`dbshare_bench::minibench`] harness.
+//! simulation run. The trace-workload build steps and the GLA lookup
+//! are the per-job set-up cost of every Fig. 4.7 run. Runs on the
+//! dependency-free [`dbshare_bench::minibench`] harness.
 
 use dbshare_bench::minibench::Bench;
 use dbshare_lockmgr::{GemLockTable, LockMode, LockTable};
-use dbshare_model::{PageId, PartitionId, TxnId};
+use dbshare_model::{PageId, PartitionId, RoutingStrategy, TxnId};
+use dbshare_workload::routing::{affinity_table, gla_chunks};
+use dbshare_workload::{Trace, TraceGenConfig, TraceWorkload};
 use desim::dist::{Alias, Zipf};
 use desim::fxhash::FxHashMap;
 use desim::lru::LruCache;
@@ -294,6 +297,42 @@ fn distributions(b: &Bench) {
     }
 }
 
+fn trace_setup(b: &Bench) {
+    // The Fig. 4.7 presets' seed, at the figure's largest node count.
+    let trace = Trace::synthesize(&TraceGenConfig::default(), 0xDB5_4A6E);
+    let nodes = 8;
+    let table = affinity_table(&trace, nodes);
+    b.bench("trace_setup/synthesize", || {
+        black_box(Trace::synthesize(&TraceGenConfig::default(), 0xDB5_4A6E));
+    });
+    b.bench("trace_setup/affinity_table", || {
+        black_box(affinity_table(&trace, nodes));
+    });
+    b.bench("trace_setup/gla_chunks", || {
+        black_box(gla_chunks(&trace, &table, nodes, 512));
+    });
+    // Includes cloning the trace, which `TraceWorkload::new` consumes.
+    b.bench("trace_setup/workload_new", || {
+        black_box(TraceWorkload::new(
+            trace.clone(),
+            nodes,
+            RoutingStrategy::Affinity,
+        ));
+    });
+    // One iteration looks up the owner of every reference of the trace.
+    let gla = gla_chunks(&trace, &table, nodes, 512);
+    let pages: Vec<PageId> = trace
+        .txns()
+        .iter()
+        .flat_map(|t| t.refs.iter().map(|r| r.page))
+        .collect();
+    b.bench("gla/chunked_lookup", || {
+        for &p in &pages {
+            black_box(gla.gla_of(black_box(p)));
+        }
+    });
+}
+
 fn main() {
     let b = Bench::from_args();
     lock_table(&b);
@@ -304,4 +343,5 @@ fn main() {
     pipe(&b);
     multiserver(&b);
     distributions(&b);
+    trace_setup(&b);
 }

@@ -7,7 +7,6 @@
 //! consumed by the lock manager, so it lives here in the shared model.
 
 use crate::{NodeId, PageId};
-use std::collections::HashMap;
 
 /// Per-partition GLA assignment rule.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,9 +21,16 @@ pub enum PartitionGla {
         /// Pages per unit.
         unit_pages: u64,
     },
-    /// Explicit per-page assignment (trace workloads); pages absent
-    /// from the map fall back to hashing.
-    PerPage(HashMap<u64, NodeId>),
+    /// Explicit assignment per chunk of `chunk_pages` contiguous pages
+    /// (trace workloads): page `p` belongs to chunk `p / chunk_pages`,
+    /// owned by `owners[chunk]`. Unowned chunks and chunks past the end
+    /// of the table fall back to hashing.
+    Chunked {
+        /// Pages per chunk (positive).
+        chunk_pages: u64,
+        /// Owner per chunk, indexed by chunk number.
+        owners: Vec<Option<NodeId>>,
+    },
     /// Pages of this partition are hashed across nodes.
     Hashed,
     /// Every page of this partition is assigned to one fixed node
@@ -81,9 +87,12 @@ impl GlaMap {
                 let unit = (page.number() / unit_pages).min(units - 1);
                 NodeId::new((unit as u128 * self.nodes as u128 / *units as u128) as u16)
             }
-            Some(PartitionGla::PerPage(map)) => map
-                .get(&page.number())
-                .copied()
+            Some(PartitionGla::Chunked {
+                chunk_pages,
+                owners,
+            }) => usize::try_from(page.number() / chunk_pages)
+                .ok()
+                .and_then(|chunk| owners.get(chunk).copied().flatten())
                 .unwrap_or_else(|| self.hash_node(page)),
             Some(PartitionGla::Fixed(node)) => *node,
             Some(PartitionGla::Hashed) | None => self.hash_node(page),
@@ -155,13 +164,22 @@ mod tests {
     }
 
     #[test]
-    fn per_page_with_hash_fallback() {
-        let mut m = HashMap::new();
-        m.insert(7u64, NodeId::new(2));
-        let map = GlaMap::new(3, vec![PartitionGla::PerPage(m)]);
-        assert_eq!(map.gla_of(page(0, 7)), NodeId::new(2));
-        let fallback = map.gla_of(page(0, 8));
-        assert!(fallback.index() < 3);
+    fn chunked_with_hash_fallback() {
+        // chunk 0 unowned, chunk 1 (pages 4..8) on N2, no chunk 2
+        let map = GlaMap::new(
+            3,
+            vec![PartitionGla::Chunked {
+                chunk_pages: 4,
+                owners: vec![None, Some(NodeId::new(2))],
+            }],
+        );
+        let hashed = GlaMap::new(3, vec![PartitionGla::Hashed]);
+        for p in 4..8 {
+            assert_eq!(map.gla_of(page(0, p)), NodeId::new(2));
+        }
+        for p in [0, 3, 8, u64::MAX] {
+            assert_eq!(map.gla_of(page(0, p)), hashed.gla_of(page(0, p)));
+        }
     }
 
     #[test]

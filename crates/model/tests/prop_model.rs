@@ -7,8 +7,11 @@
 //! dependency.
 
 use dbshare_model::gla::{GlaMap, PartitionGla};
-use dbshare_model::{PageId, PartitionConfig, PartitionId, StorageAllocation, SystemConfig};
+use dbshare_model::{
+    NodeId, PageId, PartitionConfig, PartitionId, StorageAllocation, SystemConfig,
+};
 use desim::Rng;
+use std::collections::HashMap;
 
 const CASES: u64 = 256;
 
@@ -65,6 +68,48 @@ fn hashed_gla_is_total_and_roughly_uniform() {
                 (c as f64) > expect * 0.7 && (c as f64) < expect * 1.3,
                 "skewed hash: {counts:?}"
             );
+        }
+    }
+}
+
+#[test]
+fn chunked_gla_matches_page_by_page_expansion_with_hash_fallback() {
+    let mut rng = Rng::seed_from_u64(0x64A1);
+    for _ in 0..CASES {
+        let nodes = rng.range_inclusive(1, 11) as u16;
+        let chunk_pages = rng.range_inclusive(1, 64);
+        let owners: Vec<Option<NodeId>> = (0..rng.below(40))
+            .map(|_| (!rng.chance(0.3)).then(|| NodeId::new(rng.below(nodes as u64) as u16)))
+            .collect();
+        // Reference: every page of every owned chunk, as its own entry.
+        let mut per_page: HashMap<u64, NodeId> = HashMap::new();
+        for (chunk, owner) in owners.iter().enumerate() {
+            if let Some(owner) = *owner {
+                let first = chunk as u64 * chunk_pages;
+                for page in first..first + chunk_pages {
+                    per_page.insert(page, owner);
+                }
+            }
+        }
+        let end = owners.len() as u64 * chunk_pages;
+        let map = GlaMap::new(
+            nodes,
+            vec![PartitionGla::Chunked {
+                chunk_pages,
+                owners,
+            }],
+        );
+        let hashed = GlaMap::new(nodes, vec![PartitionGla::Hashed]);
+        let probes = (0..64)
+            .map(|_| rng.below(end + 3 * chunk_pages))
+            .chain([end, u64::MAX]);
+        for n in probes {
+            let pg = PageId::new(PartitionId::new(0), n);
+            let expected = per_page
+                .get(&n)
+                .copied()
+                .unwrap_or_else(|| hashed.gla_of(pg));
+            assert_eq!(map.gla_of(pg), expected, "page {n}");
         }
     }
 }

@@ -13,7 +13,7 @@
 use crate::trace::Trace;
 use dbshare_model::gla::{GlaMap, PartitionGla};
 use dbshare_model::{NodeId, TxnTypeId};
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// A routing table: the node each transaction type is routed to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,24 +56,26 @@ impl RoutingTable {
 struct Profile {
     /// load[t]: total references of type t (its share of the work).
     load: Vec<f64>,
-    /// tf[t]: file -> reference count for type t.
-    tf: Vec<HashMap<usize, f64>>,
+    /// tf[t][f]: reference count of type t to file f.
+    tf: Vec<Vec<f64>>,
     files: usize,
 }
 
 fn profile(trace: &Trace) -> Profile {
-    let mut types = 0usize;
-    for t in trace.txns() {
-        types = types.max(t.txn_type.index() + 1);
-    }
+    let types = trace
+        .txns()
+        .iter()
+        .map(|t| t.txn_type.index() + 1)
+        .max()
+        .unwrap_or(0);
     let files = trace.partitions().len();
     let mut load = vec![0.0; types];
-    let mut tf: Vec<HashMap<usize, f64>> = vec![HashMap::new(); types];
+    let mut tf = vec![vec![0.0; files]; types];
     for t in trace.txns() {
         let ty = t.txn_type.index();
         load[ty] += t.refs.len() as f64;
         for r in &t.refs {
-            *tf[ty].entry(r.page.partition().index()).or_insert(0.0) += 1.0;
+            tf[ty][r.page.partition().index()] += 1.0;
         }
     }
     Profile { load, tf, files }
@@ -108,7 +110,7 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
     order.sort_by(|&a, &b| p.load[b].partial_cmp(&p.load[a]).expect("finite loads"));
     let mut assign = vec![0usize; types];
     let mut node_load = vec![0.0f64; n];
-    let mut node_files: Vec<HashMap<usize, f64>> = vec![HashMap::new(); n];
+    let mut node_files = vec![vec![0.0f64; p.files]; n];
     for &t in &order {
         let mut best = usize::MAX;
         let mut best_score = f64::NEG_INFINITY;
@@ -118,7 +120,8 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
             }
             let overlap: f64 = p.tf[t]
                 .iter()
-                .map(|(f, w)| w * node_files[ni].get(f).copied().unwrap_or(0.0).sqrt())
+                .zip(&node_files[ni])
+                .map(|(w, placed)| w * placed.sqrt())
                 .sum();
             // Light load preference breaks ties toward balance.
             let score = overlap - node_load[ni] * 1e-3;
@@ -137,8 +140,8 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
         };
         assign[t] = ni;
         node_load[ni] += p.load[t];
-        for (f, w) in &p.tf[t] {
-            *node_files[ni].entry(*f).or_insert(0.0) += w;
+        for (placed, w) in node_files[ni].iter_mut().zip(&p.tf[t]) {
+            *placed += w;
         }
     }
 
@@ -147,8 +150,8 @@ pub fn affinity_table(trace: &Trace, nodes: u16) -> RoutingTable {
     let objective = |assign: &[usize]| -> f64 {
         let mut rf = vec![vec![0.0f64; n]; p.files];
         for (t, &ni) in assign.iter().enumerate() {
-            for (f, w) in &p.tf[t] {
-                rf[*f][ni] += w;
+            for (per_node, w) in rf.iter_mut().zip(&p.tf[t]) {
+                per_node[ni] += w;
             }
         }
         rf.iter()
@@ -206,59 +209,63 @@ pub fn gla_chunks(trace: &Trace, table: &RoutingTable, nodes: u16, chunk_pages: 
     }
     let n = nodes as usize;
 
-    // refs[(file, chunk)][node]
-    let mut chunk_refs: HashMap<(usize, u64), Vec<f64>> = HashMap::new();
+    // refs[file][chunk * n + node]
+    let mut chunk_refs: Vec<Vec<u64>> = trace
+        .partitions()
+        .iter()
+        .map(|p| vec![0; p.pages.div_ceil(chunk_pages) as usize * n])
+        .collect();
     for t in trace.txns() {
         let node = table.node_for(t.txn_type).index();
         for r in &t.refs {
-            let key = (r.page.partition().index(), r.page.number() / chunk_pages);
-            chunk_refs.entry(key).or_insert_with(|| vec![0.0; n])[node] += 1.0;
+            let chunk = (r.page.number() / chunk_pages) as usize;
+            chunk_refs[r.page.partition().index()][chunk * n + node] += 1;
         }
     }
 
     // Assign chunks, heaviest first, to their majority node unless that
     // node is already overloaded with lock traffic.
-    let mut chunks: Vec<((usize, u64), Vec<f64>)> = chunk_refs.into_iter().collect();
-    chunks.sort_by(|a, b| {
-        let sa: f64 = a.1.iter().sum();
-        let sb: f64 = b.1.iter().sum();
-        sb.partial_cmp(&sa)
-            .expect("finite")
-            .then_with(|| a.0.cmp(&b.0))
+    let mut chunks: Vec<(usize, usize, &[u64])> = chunk_refs
+        .iter()
+        .enumerate()
+        .flat_map(|(file, refs)| {
+            refs.chunks(n)
+                .enumerate()
+                .map(move |(chunk, per_node)| (file, chunk, per_node))
+        })
+        .filter(|(_, _, per_node)| per_node.iter().any(|&c| c > 0))
+        .collect();
+    chunks.sort_by_key(|&(file, chunk, per_node)| {
+        (Reverse(per_node.iter().sum::<u64>()), file, chunk)
     });
-    let total: f64 = chunks.iter().map(|(_, v)| v.iter().sum::<f64>()).sum();
-    let cap = total / n as f64 * 1.4;
-    let mut node_traffic = vec![0.0f64; n];
-    let mut per_file_maps: Vec<HashMap<u64, NodeId>> = vec![HashMap::new(); files];
-    for ((file, chunk), per_node) in chunks {
-        let weight: f64 = per_node.iter().sum();
+    let total: u64 = chunks.iter().map(|(_, _, v)| v.iter().sum::<u64>()).sum();
+    let cap = total as f64 / n as f64 * 1.4;
+    let mut node_traffic = vec![0u64; n];
+    let mut owners: Vec<Vec<Option<NodeId>>> = chunk_refs
+        .iter()
+        .map(|refs| vec![None; refs.len() / n])
+        .collect();
+    for (file, chunk, per_node) in chunks {
+        let weight: u64 = per_node.iter().sum();
         let mut prefs: Vec<usize> = (0..n).collect();
-        prefs.sort_by(|&a, &b| per_node[b].partial_cmp(&per_node[a]).expect("finite"));
+        prefs.sort_by_key(|&ni| Reverse(per_node[ni]));
         let target = prefs
             .iter()
             .copied()
-            .find(|&ni| node_traffic[ni] + weight <= cap)
-            .unwrap_or_else(|| {
-                (0..n)
-                    .min_by(|&a, &b| {
-                        node_traffic[a]
-                            .partial_cmp(&node_traffic[b])
-                            .expect("finite")
-                    })
-                    .expect("n > 0")
-            });
+            .find(|&ni| (node_traffic[ni] + weight) as f64 <= cap)
+            .unwrap_or_else(|| (0..n).min_by_key(|&ni| node_traffic[ni]).expect("n > 0"));
         node_traffic[target] += weight;
-        let first = chunk * chunk_pages;
-        for page in first..first + chunk_pages {
-            per_file_maps[file].insert(page, NodeId::new(target as u16));
-        }
+        owners[file][chunk] = Some(NodeId::new(target as u16));
     }
 
     GlaMap::new(
         nodes,
-        per_file_maps
+        owners
             .into_iter()
-            .map(PartitionGla::PerPage)
+            .map(|owners| PartitionGla::Chunked {
+                chunk_pages,
+                owners,
+            })
             .collect(),
     )
 }

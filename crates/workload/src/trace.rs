@@ -401,18 +401,34 @@ impl Trace {
 
     /// Summary statistics (compare against §4.6's description).
     pub fn stats(&self) -> TraceStats {
-        let mut distinct: HashSet<PageId> = HashSet::new();
+        // One bit per page of each partition, one flag per type id.
+        let mut seen: Vec<Vec<u64>> = self
+            .partitions
+            .iter()
+            .map(|p| vec![0; p.pages.div_ceil(64) as usize])
+            .collect();
+        let mut distinct = 0u64;
+        let mut types: Vec<bool> = Vec::new();
         let mut total_refs = 0u64;
         let mut write_refs = 0u64;
         let mut update_txns = 0u64;
         let mut max_txn = 0usize;
-        let mut types: HashSet<TxnTypeId> = HashSet::new();
         for t in &self.txns {
-            types.insert(t.txn_type);
+            let ty = t.txn_type.index();
+            if ty >= types.len() {
+                types.resize(ty + 1, false);
+            }
+            types[ty] = true;
             max_txn = max_txn.max(t.refs.len());
             let mut wrote = false;
             for r in &t.refs {
-                distinct.insert(r.page);
+                let n = r.page.number();
+                let word = &mut seen[r.page.partition().index()][(n / 64) as usize];
+                let bit = 1u64 << (n % 64);
+                if *word & bit == 0 {
+                    *word |= bit;
+                    distinct += 1;
+                }
                 total_refs += 1;
                 if r.mode.is_write() {
                     write_refs += 1;
@@ -425,11 +441,11 @@ impl Trace {
         }
         TraceStats {
             txn_count: self.txns.len() as u64,
-            types: types.len() as u32,
+            types: types.iter().filter(|&&t| t).count() as u32,
             total_refs,
             write_refs,
             update_txns,
-            distinct_pages: distinct.len() as u64,
+            distinct_pages: distinct,
             max_txn_refs: max_txn as u64,
             db_pages: self.partitions.iter().map(|p| p.pages).sum(),
         }
@@ -490,9 +506,11 @@ impl TraceWorkload {
         assert!(nodes > 0, "need at least one node");
         let table = routing::affinity_table(&trace, nodes);
         let gla = routing::gla_chunks(&trace, &table, nodes, 512);
-        let stats = trace.stats();
-        let mean_accesses = stats.total_refs as f64 / stats.txn_count as f64;
-        let types = stats.types as usize;
+        let total_refs: usize = trace.txns().iter().map(|t| t.refs.len()).sum();
+        let mean_accesses = total_refs as f64 / trace.txns().len() as f64;
+        // Indexed by type id, as the routing table is: ids the trace
+        // skips get empty lists.
+        let types = table.types();
         let mut per_type: Vec<Vec<usize>> = vec![Vec::new(); types];
         for (i, t) in trace.txns().iter().enumerate() {
             per_type[t.txn_type.index()].push(i);
