@@ -228,42 +228,6 @@ fn hashing(b: &Bench) {
     }
 }
 
-fn pipe(b: &Bench) {
-    use desim::pipe;
-    {
-        // Per-item hand-off: one mutex acquisition per send (the
-        // pre-batching cost model). The drain thread keeps the ring
-        // from filling, so this measures the uncontended-lock path.
-        let (tx, rx) = pipe::channel::<u64>(1024);
-        let drain = std::thread::spawn(move || while rx.recv().is_some() {});
-        let mut i = 0u64;
-        b.bench("pipe/channel_send_per_item", || {
-            i += 1;
-            tx.send(i).expect("drain thread alive");
-        });
-        drop(tx);
-        drain.join().unwrap();
-    }
-    {
-        // Batched lane: the lock is taken once per 256-item batch, so
-        // the steady-state push is a bounds check and a Vec write.
-        let (mut tx, rx) = pipe::lane::<u64>(256, 8);
-        let drain = std::thread::spawn(move || {
-            let mut spare = None;
-            while let Some(batch) = rx.recv(spare.take()) {
-                spare = Some(batch);
-            }
-        });
-        let mut i = 0u64;
-        b.bench("pipe/lane_push_batch256", || {
-            i += 1;
-            tx.push(i).expect("drain thread alive");
-        });
-        drop(tx);
-        drain.join().unwrap();
-    }
-}
-
 fn multiserver(b: &Bench) {
     let mut srv = MultiServer::new(4);
     let mut now = SimTime::ZERO;
@@ -340,7 +304,6 @@ fn main() {
     lru(&b);
     calendar(&b);
     hashing(&b);
-    pipe(&b);
     multiserver(&b);
     distributions(&b);
     trace_setup(&b);

@@ -1,6 +1,7 @@
-//! CLI error paths of the `repro` binary: unusable export
-//! destinations must exit 2 with a clear message *before* any
-//! simulation runs — not an hour into a sweep.
+//! CLI error paths of the `repro` binary: bad flag values and
+//! unusable export destinations must exit 2 with a clear message
+//! *before* any simulation runs — not an hour into a sweep, and never
+//! with a panic.
 
 use std::fs;
 use std::path::PathBuf;
@@ -56,6 +57,48 @@ fn unwritable_export_dir_exits_2_before_running() {
         assert!(
             started.elapsed().as_secs() < 30,
             "{flag}: validation did not fail fast"
+        );
+    }
+}
+
+/// Bad flag values exit 2 with a message naming the flag, during
+/// argument parsing: no panic, and no tick-line flood from an interval
+/// that rounds to zero.
+#[test]
+fn bad_flag_values_exit_2_with_a_message() {
+    let cases: &[(&[&str], &str)] = &[
+        // Too large for a `Duration`.
+        (&["--quick", "--ticker", "1e300", "fig41"], "--ticker"),
+        // Rounds to a zero interval.
+        (&["--quick", "--ticker", "1e-300", "fig41"], "--ticker"),
+        (&["--quick", "--ticker", "0", "fig41"], "--ticker"),
+        (&["--quick", "--jobs", "0", "fig41"], "--jobs"),
+        // Not a flag.
+        (
+            &["--quick", "--cores", "2", "fig41"],
+            "unknown flag \"--cores\"",
+        ),
+    ];
+    for (args, needle) in cases {
+        let started = Instant::now();
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(*args)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{args:?}: expected exit 2, got {:?}; stderr: {stderr}",
+            output.status
+        );
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(needle),
+            "{args:?}: stderr must be one error naming {needle}, got: {stderr}"
+        );
+        assert!(
+            started.elapsed().as_secs() < 30,
+            "{args:?}: validation did not fail fast"
         );
     }
 }

@@ -26,9 +26,7 @@
 //! * [`InlineVec`] — an inline small-vector for per-event element
 //!   lists, so steady state never touches the global allocator,
 //! * [`trace`] — structured, sim-time-stamped event records and sinks
-//!   for deterministic (diffable) execution traces,
-//! * [`pipe`] — bounded SPSC channels connecting the deterministic
-//!   pipeline stages of the parallel (`cores > 1`) engine.
+//!   for deterministic (diffable) execution traces.
 //!
 //! # Example
 //!
@@ -72,7 +70,6 @@ mod time;
 pub mod dist;
 pub mod fxhash;
 pub mod lru;
-pub mod pipe;
 pub mod smallvec;
 pub mod stats;
 pub mod trace;

@@ -66,9 +66,6 @@ pub fn records_from_artifact(doc: &Json) -> Result<Vec<Record>, String> {
             curve: str_field("curve")?,
             nodes: num_field("nodes")? as u16,
             seed: num_field("seed")? as u64,
-            // Lenient like the store's own parse: artifacts written
-            // before the parallel engine carry no cores field.
-            cores: row.get("cores").and_then(Json::as_f64).unwrap_or(1.0) as u32,
             host_cpus,
             config_fingerprint: str_field("config_fingerprint")?,
             metric_fingerprint: row
@@ -155,12 +152,11 @@ mod tests {
         assert_eq!(r.figure, "fig41");
         assert_eq!(r.nodes, 2);
         assert_eq!(r.metric_fingerprint, "met");
-        assert_eq!(r.cores, 2);
         assert_eq!(r.host_cpus, 16);
     }
 
     #[test]
-    fn pre_parallel_artifacts_default_cores_and_host_cpus() {
+    fn pre_parallel_artifacts_default_host_cpus() {
         let mut doc = artifact_doc();
         if let Json::Obj(fields) = &mut doc {
             fields.retain(|(k, _)| k != "host_cpus");
@@ -171,7 +167,6 @@ mod tests {
             }
         }
         let records = records_from_artifact(&doc).expect("legacy artifact converts");
-        assert_eq!(records[0].cores, 1);
         assert_eq!(records[0].host_cpus, 0);
     }
 

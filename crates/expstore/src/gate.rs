@@ -10,18 +10,11 @@
 //!    (pre-store artifacts) are skipped.
 //! 2. **Event-rate regression (thresholded).** Per figure, the fresh
 //!    run's aggregate events/s must stay within `max_regress_pct`
-//!    percent of the best recorded run of the *same config set and
-//!    the same `cores` setting* ([`figure_runs`] pairs only identical
-//!    job sets, split by engine thread count — a serial baseline must
-//!    never gate a parallel run, or vice versa). Host wall-clock
-//!    varies across machines, so the threshold is the caller's to
-//!    choose: tight for same-machine trend gating, generous for
-//!    cross-runner CI.
-//!
-//! The metric-drift check is deliberately *cores-agnostic*: the
-//! pipeline engine is bit-identical to the serial engine, so a
-//! parallel run must reproduce the serial history's fingerprints
-//! exactly — comparing across `cores` there is the point, not a bug.
+//!    percent of the best recorded run of the *same config set*
+//!    ([`figure_runs`] pairs only identical job sets). Host
+//!    wall-clock varies across machines, so the threshold is the
+//!    caller's to choose: tight for same-machine trend gating,
+//!    generous for cross-runner CI.
 
 use crate::index::{figure_runs, Index};
 use crate::record::Record;
@@ -92,9 +85,7 @@ pub fn check(history: &[Record], current: &[Record], max_regress_pct: f64) -> Ga
     for row in figure_runs(current) {
         let best = history_rows
             .iter()
-            .filter(|h| {
-                h.figure == row.figure && h.config_set == row.config_set && h.cores == row.cores
-            })
+            .filter(|h| h.figure == row.figure && h.config_set == row.config_set)
             .reduce(|best, h| {
                 if h.events_per_sec() > best.events_per_sec() {
                     h
@@ -104,8 +95,8 @@ pub fn check(history: &[Record], current: &[Record], max_regress_pct: f64) -> Ga
             });
         let Some(best) = best else {
             outcome.notes.push(format!(
-                "events/s [{}]: no recorded run with this config set at cores={} — skipped",
-                row.figure, row.cores
+                "events/s [{}]: no recorded run with this config set — skipped",
+                row.figure
             ));
             continue;
         };
@@ -150,7 +141,6 @@ mod tests {
             curve: "c".into(),
             nodes,
             seed: 1,
-            cores: 1,
             host_cpus: 8,
             config_fingerprint: format!("cfg-{figure}-{nodes}"),
             metric_fingerprint: metric.into(),
@@ -214,30 +204,6 @@ mod tests {
             .notes
             .iter()
             .any(|n| n.contains("no recorded run with this config set")));
-    }
-
-    #[test]
-    fn serial_baseline_never_gates_a_parallel_run() {
-        // History holds only a fast serial run. A cores=2 run of the
-        // same config set — slower on a small host — must skip the
-        // events/s floor (no comparable cores=2 history) while still
-        // passing the cores-agnostic metric-drift check.
-        let history = vec![rec("r1", "fig41", 1, 1.0, "m1")];
-        let mut slow_parallel = rec("r2", "fig41", 1, 10.0, "m1");
-        slow_parallel.cores = 2;
-        let outcome = check(&history, &[slow_parallel], 50.0);
-        assert!(outcome.passed(), "failures: {:?}", outcome.failures);
-        assert!(outcome
-            .notes
-            .iter()
-            .any(|n| n.contains("at cores=2 — skipped")));
-        // But a parallel run that drifts metrics still fails: the
-        // drift check deliberately compares across cores.
-        let mut drifted = rec("r3", "fig41", 1, 1.0, "DIFFERENT");
-        drifted.cores = 2;
-        let outcome = check(&history, &[drifted], 50.0);
-        assert_eq!(outcome.failures.len(), 1);
-        assert!(outcome.failures[0].contains("metric drift"));
     }
 
     #[test]

@@ -166,7 +166,6 @@ mod tests {
             curve: "c".into(),
             nodes,
             seed: 9,
-            cores: 1,
             host_cpus: 4,
             config_fingerprint: "cfg".into(),
             metric_fingerprint: "met".into(),

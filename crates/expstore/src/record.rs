@@ -46,15 +46,9 @@ pub struct Record {
     pub nodes: u16,
     /// The run's master seed.
     pub seed: u64,
-    /// Host threads the engine used for this job
-    /// (`RunControl::cores`; 1 = the serial event loop). Results are
-    /// bit-identical at every setting, but wall-clock is not — trend
-    /// comparisons must only pair rows with equal `cores`. Rows
-    /// written before this field existed parse as 1.
-    pub cores: u32,
     /// Logical CPUs of the host that executed the job (0 when unknown
-    /// or on rows written before this field existed). Context for
-    /// reading parallel speedups.
+    /// or on rows written before this field existed). Host provenance
+    /// for reading wall-clock figures.
     pub host_cpus: u32,
     /// FNV-1a hash of the job's complete configuration.
     pub config_fingerprint: String,
@@ -140,7 +134,6 @@ impl Record {
             ("curve", Json::Str(self.curve.clone())),
             ("nodes", Json::Num(f64::from(self.nodes))),
             ("seed", Json::Num(self.seed as f64)),
-            ("cores", Json::Num(f64::from(self.cores))),
             ("host_cpus", Json::Num(f64::from(self.host_cpus))),
             (
                 "config_fingerprint",
@@ -224,10 +217,10 @@ impl Record {
             curve: str_field("curve")?,
             nodes: num_field("nodes")? as u16,
             seed: num_field("seed")? as u64,
-            // Optional with defaults: rows written before the parallel
-            // engine carry neither field and stay readable (still
-            // schema v1 — new rows always render both).
-            cores: doc.get("cores").and_then(Json::as_f64).unwrap_or(1.0) as u32,
+            // Optional with a default: the oldest rows carry no
+            // `host_cpus` and stay readable (still schema v1). Rows
+            // written while the engine had a `cores` knob carry that
+            // key too; it is ignored.
             host_cpus: doc.get("host_cpus").and_then(Json::as_f64).unwrap_or(0.0) as u32,
             config_fingerprint: str_field("config_fingerprint")?,
             metric_fingerprint: str_field("metric_fingerprint")?,
@@ -296,7 +289,6 @@ mod tests {
             curve: "GEM, NOFORCE".into(),
             nodes,
             seed,
-            cores: 1,
             host_cpus: 8,
             config_fingerprint: format!("cfg{figure}{nodes}"),
             metric_fingerprint: format!("met{figure}{nodes}"),
@@ -386,11 +378,16 @@ mod tests {
         // must stay readable — the committed baseline history depends
         // on it.
         let mut doc = sample("fig41", 2, 7).to_json();
-        doc.remove("cores");
         doc.remove("host_cpus");
         let back = Record::from_json(&doc).expect("legacy row parses");
-        assert_eq!(back.cores, 1);
         assert_eq!(back.host_cpus, 0);
+        // So must a row written while the engine had a `cores` knob:
+        // the key is ignored, and the record renders without it.
+        let mut doc = sample("fig41", 2, 7).to_json();
+        doc.set("cores", Json::Num(4.0));
+        let back = Record::from_json(&doc).expect("row with cores parses");
+        assert_eq!(back, sample("fig41", 2, 7));
+        assert!(!back.to_line().contains("cores"));
     }
 
     #[test]

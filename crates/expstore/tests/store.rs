@@ -1,10 +1,12 @@
 //! Store integration tests against a real file: append/read
-//! round-trips, index queries, torn-write recovery, and byte-identical
-//! re-serialization of the store's JSON values.
+//! round-trips, index queries, torn-write recovery, byte-identical
+//! re-serialization of the store's JSON values, and loading the
+//! committed baseline history.
 
 use dbshare_expstore::{figure_runs, Index, Json, Provenance, Record, Store};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A scratch file under the target-adjacent temp dir, removed on drop.
 struct TempFile(PathBuf);
@@ -37,7 +39,6 @@ fn record(run: &str, figure: &str, nodes: u16, wall: f64) -> Record {
         curve: format!("curve of {figure}, \"quoted\""),
         nodes,
         seed: 0xD5_0000 + u64::from(nodes),
-        cores: 1,
         host_cpus: 8,
         config_fingerprint: format!("cfg-{figure}-{nodes}"),
         metric_fingerprint: format!("met-{figure}-{nodes}"),
@@ -167,4 +168,31 @@ fn stored_lines_reserialize_byte_identically() {
         let rec = Record::from_line(line).expect("record parses");
         assert_eq!(rec.to_line(), line, "record re-serialization drifted");
     }
+}
+
+/// The committed baseline `docs/history.jsonl` keeps loading through
+/// the store: every row parses, including the rows written while the
+/// engine had a `cores` knob (the key is ignored), and the
+/// per-(run, figure) aggregation yields exactly one group per distinct
+/// raw pair, so no two runs of the committed history merge.
+#[test]
+fn committed_history_loads_through_the_store() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/history.jsonl");
+    let read = Store::new(&path).read().expect("committed history reads");
+    assert!(read.recovery.is_none(), "committed history needed recovery");
+    assert_eq!(read.records.len(), 794);
+
+    let text = fs::read_to_string(&path).expect("raw history");
+    let mut by_cores: BTreeMap<Option<u64>, usize> = BTreeMap::new();
+    let mut pairs: BTreeSet<(String, String)> = BTreeSet::new();
+    for line in text.lines() {
+        let doc = Json::parse(line).expect("row parses as JSON");
+        let cores = doc.get("cores").and_then(Json::as_f64).map(|c| c as u64);
+        *by_cores.entry(cores).or_default() += 1;
+        let field = |key: &str| doc.get(key).and_then(Json::as_str).expect(key).to_string();
+        pairs.insert((field("run"), field("figure")));
+    }
+    assert_eq!(by_cores.get(&Some(2)), Some(&224), "rows at cores 2");
+    assert_eq!(by_cores.get(&Some(4)), Some(&112), "rows at cores 4");
+    assert_eq!(figure_runs(&read.records).len(), pairs.len());
 }

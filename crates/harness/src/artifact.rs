@@ -94,7 +94,6 @@ fn record(result: &JobResult) -> Json {
         ("curve", Json::Str(result.job.curve.clone())),
         ("nodes", Json::Num(f64::from(result.job.nodes))),
         ("seed", Json::Num(result.job.spec.seed() as f64)),
-        ("cores", Json::Num(f64::from(result.job.cores))),
         (
             "config_fingerprint",
             Json::Str(fingerprint(&result.job.spec)),
@@ -173,7 +172,6 @@ mod tests {
                     nodes: 1,
                     spec,
                     observe: crate::Observe::default(),
-                    cores: 1,
                 },
                 report: spec.execute(),
                 observations: crate::Observations::default(),
@@ -196,7 +194,6 @@ mod tests {
             assert_eq!(rec.get("wall_secs").and_then(Json::as_f64), Some(0.25));
             for key in [
                 "seed",
-                "cores",
                 "config_fingerprint",
                 "metric_fingerprint",
                 "sim_seconds",

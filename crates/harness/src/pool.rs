@@ -33,9 +33,6 @@ pub struct Job {
     /// Observation settings for the run. The default (all off) keeps
     /// the execution path identical to an unobserved run.
     pub observe: Observe,
-    /// Engine threads for the run (`RunControl::cores`; 1 = serial).
-    /// Results are bit-identical at every setting.
-    pub cores: u32,
 }
 
 /// A completed job: the input [`Job`], the simulator's report, and the
@@ -103,13 +100,11 @@ pub fn run_jobs_ticked(
                 let bytes0 = alloc_track::thread_alloc_bytes();
                 let gauge = ticker.map(|t| t.register(format!("{} n={}", job.curve, job.nodes)));
                 let start = Instant::now();
-                let (mut report, observations) =
-                    if gauge.is_some() || job.observe.enabled() || job.cores > 1 {
-                        job.spec
-                            .execute_instrumented(job.cores, job.observe, gauge.clone())
-                    } else {
-                        (job.spec.execute(), Observations::default())
-                    };
+                let (mut report, observations) = if gauge.is_some() || job.observe.enabled() {
+                    job.spec.execute_instrumented(job.observe, gauge.clone())
+                } else {
+                    (job.spec.execute(), Observations::default())
+                };
                 let wall_secs = start.elapsed().as_secs_f64();
                 if let (Some(t), Some(gauge)) = (ticker, &gauge) {
                     t.finish(gauge, report.events_processed);
@@ -171,7 +166,6 @@ mod tests {
                     nodes,
                     spec: RunSpec::DebitCredit(DebitCreditRun::baseline(nodes, TINY)),
                     observe: Observe::default(),
-                    cores: 1,
                 }
             })
             .collect()

@@ -6,13 +6,11 @@ mod commit;
 mod events;
 mod maintenance;
 mod messages;
-mod parallel;
 mod telemetry;
 mod txn;
 mod txntable;
 
 pub(crate) use events::{Cont, Event, Job, Msg, MsgBody};
-pub(crate) use parallel::{ArrivalSource, StatsStage, TraceStage};
 pub(crate) use telemetry::TimelineState;
 pub(crate) use txn::{Phase, Txn};
 pub(crate) use txntable::TxnTable;
@@ -81,10 +79,8 @@ pub(crate) struct PendingWrite {
 pub struct Engine {
     pub(crate) cfg: SystemConfig,
     pub(crate) cal: Calendar<Event>,
-    /// The workload generator. `None` only while a pipeline run's
-    /// producer stage owns it (`cores >= 2`); the serial arrival path
-    /// draws from it in place.
-    pub(crate) workload: Option<Box<dyn Workload + Send>>,
+    /// The workload generator.
+    pub(crate) workload: Box<dyn Workload + Send>,
     pub(crate) storage: StorageSubsystem,
     pub(crate) nodes: Vec<NodeCtx>,
     pub(crate) glt: GemLockTable,
@@ -134,15 +130,6 @@ pub struct Engine {
     /// Trace sink, installed only when tracing is enabled; every
     /// emission is behind a single `is_some()` branch.
     pub(crate) tracer: Option<Box<dyn TraceSink + Send>>,
-    /// Arrival generation mode (inline, or fed by a producer thread
-    /// when `RunControl::cores >= 2`).
-    pub(crate) source: ArrivalSource,
-    /// Metric recording mode (inline, or folded by a sink thread when
-    /// `RunControl::cores >= 3`).
-    pub(crate) stats: StatsStage,
-    /// Engine-side endpoint of the trace-sink thread, present only
-    /// while a pipeline run with `cores >= 4` has tracing on.
-    pub(crate) trace_stage: Option<TraceStage>,
     /// Timeline sampler state, armed at end of warm-up when requested.
     pub(crate) timeline: Option<TimelineState>,
     /// Instant of the most recent commit (any node) — the no-progress
@@ -153,10 +140,6 @@ pub struct Engine {
     /// Live progress gauge, observer-only (the harness ticker samples
     /// it). `None` keeps the event loop on the exact unobserved path.
     pub(crate) progress: Option<std::sync::Arc<crate::progress::ProgressGauge>>,
-    /// Watches over this run's pipeline lanes (`cores > 1` only),
-    /// labelled by stage — read by the watchdog dump and mirrored into
-    /// the progress gauge.
-    pub(crate) pipe_watches: Vec<(&'static str, desim::pipe::LaneWatch)>,
 }
 
 impl Engine {
@@ -208,7 +191,7 @@ impl Engine {
         let mean_arrival_gap_us = 1e6 / (cfg.arrival_tps_per_node * cfg.nodes as f64);
         Ok(Engine {
             cal: Calendar::new(),
-            workload: Some(workload),
+            workload,
             storage,
             nodes,
             glt: GemLockTable::with_capacity(page_cap(hot_pages * cfg.nodes as usize), live),
@@ -245,28 +228,17 @@ impl Engine {
             mean_arrival_gap_us,
             observe: Observe::default(),
             tracer: None,
-            source: ArrivalSource::Inline,
-            stats: StatsStage::Inline,
-            trace_stage: None,
             timeline: None,
             last_commit_at: SimTime::ZERO,
             last_watchdog: SimTime::ZERO,
             progress: None,
-            pipe_watches: Vec::new(),
         })
     }
 
     /// Runs the simulation to completion and returns the report.
     pub fn run(mut self) -> RunReport {
-        let now = self.run_to_end();
+        let now = self.run_loop();
         self.build_report(now)
-    }
-
-    /// Overrides the host-thread budget for this run (equivalent to
-    /// setting `RunControl::cores` in the configuration; values below
-    /// one are clamped). Results are bit-identical at every setting.
-    pub fn set_cores(&mut self, cores: u32) {
-        self.cfg.run.cores = cores.max(1);
     }
 
     /// Attaches a live progress gauge. The engine publishes event
@@ -360,7 +332,10 @@ impl Engine {
         }
         match ev {
             Event::Arrival => {
-                let (gap, node, spec) = self.next_arrival();
+                let gap =
+                    SimDuration::from_micros_f64(self.arrival_rng.exp(self.mean_arrival_gap_us));
+                let spare = self.spare_specs.pop();
+                let (node, spec) = self.workload.next_with(&mut self.wl_rng, spare);
                 self.cal.schedule(now + gap, Event::Arrival);
                 self.admit(now, node, spec, now, 0);
             }
@@ -600,8 +575,8 @@ impl Engine {
         );
         if self.warmed {
             self.measured += 1;
-            self.stats_commit(
-                now,
+            self.metrics.record_commit_time(now);
+            self.metrics.record_completion(
                 now - arrival,
                 spec.refs().len(),
                 admitted - arrival,
@@ -624,7 +599,7 @@ impl Engine {
         } else if self.counters.committed >= self.cfg.run.warmup_txns {
             self.end_warmup(now);
         }
-        self.recycle_spec(spec);
+        self.spare_specs.push(spec);
         if let Some((next, since)) = self.nodes[node.index()].mpl.release(now) {
             let _ = since;
             let mut next_arrival = None;
@@ -649,7 +624,10 @@ impl Engine {
 
     fn end_warmup(&mut self, now: SimTime) {
         self.warmed = true;
-        self.stats_rebase(now);
+        self.metrics = Metrics {
+            started: now,
+            ..Metrics::default()
+        };
         self.base = self.counters.clone();
         self.storage.reset_stats(now);
         for (i, ctx) in self.nodes.iter_mut().enumerate() {

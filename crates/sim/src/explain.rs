@@ -21,9 +21,8 @@
 //!   sidecar ([`sidecar_json`]) for `repro --explain`.
 //!
 //! Everything here is a pure function of `RunReport` fields that are
-//! themselves bit-identical across `--jobs` and `--cores`, so the
-//! rendered table and sidecar are byte-identical too (pinned by
-//! `sim/tests/explain.rs`). The attribution is deliberately generic —
+//! themselves bit-identical across `--jobs`, so the rendered table and
+//! sidecar are byte-identical too (pinned by `sim/tests/explain.rs`). The attribution is deliberately generic —
 //! it reads only the per-resource statistics every protocol reports,
 //! so it applies unchanged to any coupling mode.
 

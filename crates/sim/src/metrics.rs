@@ -125,82 +125,6 @@ impl Metrics {
     }
 }
 
-/// One measured commit, deferred for the statistics stage of the
-/// pipeline engine.
-pub(crate) struct CommitSample {
-    pub at: SimTime,
-    pub resp: SimDuration,
-    pub refs: u32,
-    pub input: SimDuration,
-    pub lock: SimDuration,
-    pub io: SimDuration,
-    pub cpu_wait: SimDuration,
-    pub cpu_service: SimDuration,
-}
-
-/// A batch of deferred statistics operations, sharded *by metric
-/// class* so the folding stage merges whole deltas instead of matching
-/// on a per-sample message enum.
-///
-/// Why class shards keep f64 results bit-identical: every accumulator
-/// a commit touches (`resp*`, the wait classes, `resp_per_ref`,
-/// `refs_completed`, the timeline) is disjoint from the one a
-/// page-request delay touches (`page_req_delay`), so reordering
-/// *across* the two classes cannot change any floating-point fold —
-/// while order *within* each class is preserved FIFO by the `Vec`s
-/// below. Sharding by node would not have this property: commits from
-/// different nodes fold into the same global accumulators, so
-/// per-node shards would permute a shared f64 reduction. The rebase
-/// (end of warm-up) is a sequence point: the engine seals the current
-/// shard before recording it, so a shard's operations are always
-/// entirely pre- or post-rebase, applied as rebase → commits → delays.
-#[derive(Default)]
-pub(crate) struct StatsShard {
-    /// Replace the accumulator (measurement-window start), applied
-    /// before this shard's samples.
-    pub rebase: Option<SimTime>,
-    /// Measured commits, in commit order.
-    pub commits: Vec<CommitSample>,
-    /// Remote-page wait delays (ms), in completion order.
-    pub delays: Vec<f64>,
-}
-
-impl StatsShard {
-    /// Samples carried (the flush threshold counts both classes).
-    pub(crate) fn len(&self) -> usize {
-        self.commits.len() + self.delays.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.rebase.is_none() && self.commits.is_empty() && self.delays.is_empty()
-    }
-
-    /// Folds the shard into `m`, draining it for reuse.
-    pub(crate) fn apply(&mut self, m: &mut Metrics) {
-        if let Some(started) = self.rebase.take() {
-            *m = Metrics {
-                started,
-                ..Metrics::default()
-            };
-        }
-        for c in self.commits.drain(..) {
-            m.record_commit_time(c.at);
-            m.record_completion(
-                c.resp,
-                c.refs as usize,
-                c.input,
-                c.lock,
-                c.io,
-                c.cpu_wait,
-                c.cpu_service,
-            );
-        }
-        for ms in self.delays.drain(..) {
-            m.page_req_delay.record(ms);
-        }
-    }
-}
-
 /// Engine-level event counters (snapshotted at the end of warm-up so
 /// reports cover only the measurement window).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -255,7 +179,7 @@ impl Counters {
 /// mirror the deterministic event stream, so two runs of the same
 /// configuration produce identical profiles; wall-clock-derived rates
 /// (events per second) live in the harness artifacts, not here.
-#[derive(Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RunProfile {
     /// `Arrival` events (open-system source admissions).
     pub arrivals: u64,
@@ -295,21 +219,6 @@ pub struct RunProfile {
     /// Host heap bytes requested while executing the run. Same caveats
     /// as [`host_allocs`](Self::host_allocs).
     pub host_alloc_bytes: u64,
-    /// Pipeline batches handed between stages (`cores > 1` only).
-    /// Like the wall clock, the `pipe_*` fields describe how the host
-    /// *executed* the run, not what was simulated: they vary with the
-    /// `cores` setting, so the manual `Debug`/`PartialEq` impls below
-    /// exclude them and cross-`cores` report comparisons stay exact.
-    pub pipe_batches: u64,
-    /// Items (arrivals, stat samples, trace events) carried by those
-    /// batches; `pipe_items / pipe_batches` is the mean occupancy.
-    pub pipe_items: u64,
-    /// Mutex acquisitions the stages paid to move those items — the
-    /// quantity batching exists to minimize (a per-event channel would
-    /// pay `pipe_items`).
-    pub pipe_locks: u64,
-    /// Times a stage blocked on a full pipe before handing off.
-    pub pipe_stalls: u64,
 }
 
 impl RunProfile {
@@ -331,19 +240,6 @@ impl RunProfile {
         self.cont_storage += other.cont_storage;
         self.host_allocs += other.host_allocs;
         self.host_alloc_bytes += other.host_alloc_bytes;
-        self.pipe_batches += other.pipe_batches;
-        self.pipe_items += other.pipe_items;
-        self.pipe_locks += other.pipe_locks;
-        self.pipe_stalls += other.pipe_stalls;
-    }
-
-    /// Mean items per pipeline batch (0.0 in serial runs).
-    pub fn pipe_occupancy(&self) -> f64 {
-        if self.pipe_batches == 0 {
-            0.0
-        } else {
-            self.pipe_items as f64 / self.pipe_batches as f64
-        }
     }
 
     /// Host heap allocations per processed calendar event — the
@@ -372,55 +268,6 @@ impl RunProfile {
     }
 }
 
-/// Hand-written to exclude the `pipe_*` host-execution counters: the
-/// cross-`cores` invariance suites compare `Debug` renderings of whole
-/// reports, and batching behavior — like wall time — legitimately
-/// differs between a serial and a staged execution of the same run.
-impl fmt::Debug for RunProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunProfile")
-            .field("arrivals", &self.arrivals)
-            .field("restarts", &self.restarts)
-            .field("cpu_done", &self.cpu_done)
-            .field("gem_held_done", &self.gem_held_done)
-            .field("io_done", &self.io_done)
-            .field("delivered", &self.delivered)
-            .field("deadlock_scans", &self.deadlock_scans)
-            .field("crash_events", &self.crash_events)
-            .field("timeline_samples", &self.timeline_samples)
-            .field("cont_lifecycle", &self.cont_lifecycle)
-            .field("cont_locking", &self.cont_locking)
-            .field("cont_messaging", &self.cont_messaging)
-            .field("cont_storage", &self.cont_storage)
-            .field("host_allocs", &self.host_allocs)
-            .field("host_alloc_bytes", &self.host_alloc_bytes)
-            .finish()
-    }
-}
-
-/// Same exclusion rationale as the `Debug` impl above.
-impl PartialEq for RunProfile {
-    fn eq(&self, other: &Self) -> bool {
-        self.arrivals == other.arrivals
-            && self.restarts == other.restarts
-            && self.cpu_done == other.cpu_done
-            && self.gem_held_done == other.gem_held_done
-            && self.io_done == other.io_done
-            && self.delivered == other.delivered
-            && self.deadlock_scans == other.deadlock_scans
-            && self.crash_events == other.crash_events
-            && self.timeline_samples == other.timeline_samples
-            && self.cont_lifecycle == other.cont_lifecycle
-            && self.cont_locking == other.cont_locking
-            && self.cont_messaging == other.cont_messaging
-            && self.cont_storage == other.cont_storage
-            && self.host_allocs == other.host_allocs
-            && self.host_alloc_bytes == other.host_alloc_bytes
-    }
-}
-
-impl Eq for RunProfile {}
-
 impl fmt::Display for RunProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -441,19 +288,7 @@ impl fmt::Display for RunProfile {
             f,
             "  conts: lifecycle {} locking {} messaging {} storage {}",
             self.cont_lifecycle, self.cont_locking, self.cont_messaging, self.cont_storage,
-        )?;
-        if self.pipe_batches > 0 {
-            write!(
-                f,
-                "\n  pipe: batches {} items {} occupancy {:.1} locks {} stalls {}",
-                self.pipe_batches,
-                self.pipe_items,
-                self.pipe_occupancy(),
-                self.pipe_locks,
-                self.pipe_stalls,
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 

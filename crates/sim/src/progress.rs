@@ -10,9 +10,7 @@
 //! `explain.rs` pins report equality with and without one). Observer
 //! threads only load; they cannot block the engine.
 
-use desim::pipe::{LaneStats, LaneWatch};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Shared progress counters for one running simulation. Create with
 /// `Default`, attach with [`Engine::set_progress`], sample from any
@@ -29,9 +27,6 @@ pub struct ProgressGauge {
     committed: AtomicU64,
     /// Total transactions the run will commit (warm-up + measured).
     target_txns: AtomicU64,
-    /// Watches over the pipeline lanes of a `--cores > 1` run, labelled
-    /// by stage. Registered once at stage start-up, read per sample.
-    lanes: Mutex<Vec<(&'static str, LaneWatch)>>,
 }
 
 impl ProgressGauge {
@@ -42,11 +37,6 @@ impl ProgressGauge {
             sim_seconds: self.sim_nanos.load(Ordering::Relaxed) as f64 / 1e9,
             committed: self.committed.load(Ordering::Relaxed),
             target_txns: self.target_txns.load(Ordering::Relaxed),
-            lanes: self
-                .lanes
-                .lock()
-                .map(|l| l.iter().map(|(n, w)| (*n, w.stats())).collect())
-                .unwrap_or_default(),
         }
     }
 
@@ -58,12 +48,6 @@ impl ProgressGauge {
 
     pub(crate) fn set_target(&self, txns: u64) {
         self.target_txns.store(txns, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_lane(&self, label: &'static str, watch: LaneWatch) {
-        if let Ok(mut lanes) = self.lanes.lock() {
-            lanes.push((label, watch));
-        }
     }
 }
 
@@ -86,8 +70,6 @@ pub struct ProgressSnapshot {
     pub committed: u64,
     /// Total transactions the run will commit (warm-up + measured).
     pub target_txns: u64,
-    /// Labelled pipeline-lane counters (empty for a serial run).
-    pub lanes: Vec<(&'static str, LaneStats)>,
 }
 
 impl ProgressSnapshot {
@@ -118,7 +100,6 @@ mod tests {
         assert_eq!(s.committed, 50);
         assert_eq!(s.target_txns, 200);
         assert!((s.fraction() - 0.25).abs() < 1e-12);
-        assert!(s.lanes.is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `--explain` determinism at the library level: attribution, the
 //! rendered table, and the JSON sidecar are pure functions of the
 //! (bit-identical) reports, so they must be byte-identical across
-//! `--cores`; and the progress gauge is observe-only, so publishing
-//! through one must not perturb the simulation's results.
+//! runs; and the progress gauge is observe-only, so publishing through
+//! one must not perturb the simulation's results.
 
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ fn spec(coupling: CouplingMode, nodes: u16) -> RunSpec {
     })
 }
 
-fn figure_at_cores(cores: u32) -> explain::FigureExplain {
+fn figure() -> explain::FigureExplain {
     let mut series = Vec::new();
     for (label, coupling) in [
         ("GEM/NOFORCE", CouplingMode::GemLocking),
@@ -29,8 +29,7 @@ fn figure_at_cores(cores: u32) -> explain::FigureExplain {
     ] {
         let mut points = Vec::new();
         for nodes in [2u16, 4] {
-            let (report, _) = spec(coupling, nodes).execute_with(cores, Observe::default());
-            points.push((nodes, report));
+            points.push((nodes, spec(coupling, nodes).execute()));
         }
         series.push(Series {
             label: label.into(),
@@ -40,26 +39,18 @@ fn figure_at_cores(cores: u32) -> explain::FigureExplain {
     explain::explain_figure("explain-test", &series, SATURATION_THRESHOLD)
 }
 
-/// The rendered table and the sidecar must be byte-identical no matter
-/// how many engine threads produced the underlying reports.
+/// The rendered table and the sidecar must be byte-identical across
+/// independent runs of the same figure.
 #[test]
-fn explain_render_and_sidecar_are_byte_identical_across_cores() {
-    let base = figure_at_cores(1);
-    let base_text = base.render();
-    let base_json = explain::sidecar_json(std::slice::from_ref(&base));
-    for cores in [2u32, 4] {
-        let fig = figure_at_cores(cores);
-        assert_eq!(
-            fig.render(),
-            base_text,
-            "explain table drifted at cores={cores}"
-        );
-        assert_eq!(
-            explain::sidecar_json(&[fig]),
-            base_json,
-            "explain sidecar drifted at cores={cores}"
-        );
-    }
+fn explain_render_and_sidecar_are_byte_identical_across_runs() {
+    let base = figure();
+    let fig = figure();
+    assert_eq!(fig.render(), base.render(), "explain table drifted");
+    assert_eq!(
+        explain::sidecar_json(&[fig]),
+        explain::sidecar_json(&[base]),
+        "explain sidecar drifted"
+    );
 }
 
 /// The progress gauge is a pure observer: wiring one in must leave the
@@ -69,20 +60,17 @@ fn explain_render_and_sidecar_are_byte_identical_across_cores() {
 fn progress_gauge_does_not_perturb_results() {
     let s = spec(CouplingMode::GemLocking, 2);
     let baseline = s.execute();
-    for cores in [1u32, 2] {
-        let gauge = Arc::new(ProgressGauge::default());
-        let (report, _) =
-            s.execute_instrumented(cores, Observe::default(), Some(Arc::clone(&gauge)));
-        assert_eq!(
-            format!("{report:?}"),
-            format!("{baseline:?}"),
-            "gauge perturbed the report at cores={cores}"
-        );
-        let snap = gauge.snapshot();
-        assert_eq!(
-            snap.events, report.events_processed,
-            "final gauge publish must agree with the report at cores={cores}"
-        );
-        assert!(snap.fraction() >= 1.0, "run completed, fraction < 1");
-    }
+    let gauge = Arc::new(ProgressGauge::default());
+    let (report, _) = s.execute_instrumented(Observe::default(), Some(Arc::clone(&gauge)));
+    assert_eq!(
+        format!("{report:?}"),
+        format!("{baseline:?}"),
+        "gauge perturbed the report"
+    );
+    let snap = gauge.snapshot();
+    assert_eq!(
+        snap.events, report.events_processed,
+        "final gauge publish must agree with the report"
+    );
+    assert!(snap.fraction() >= 1.0, "run completed, fraction < 1");
 }

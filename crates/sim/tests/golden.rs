@@ -5,7 +5,7 @@
 //! perturbs event order or arithmetic shows up here immediately.
 
 use dbshare_model::{CouplingMode, RoutingStrategy, UpdateStrategy};
-use dbshare_sim::experiments::{debit_credit_run, DebitCreditRun, RunLength, RunSpec};
+use dbshare_sim::experiments::{debit_credit_run, DebitCreditRun, RunLength};
 
 /// One run's fingerprint: every floating-point metric as exact bits,
 /// every counter as-is. Formatted as one line per field so failures
@@ -53,13 +53,6 @@ fn run(coupling: CouplingMode, update: UpdateStrategy, nodes: u16) -> String {
     fingerprint(&debit_credit_run(params(coupling, update, nodes)))
 }
 
-/// The same run on the pipeline engine (`RunControl::cores > 1`).
-fn run_at_cores(coupling: CouplingMode, update: UpdateStrategy, nodes: u16, cores: u32) -> String {
-    let spec = RunSpec::DebitCredit(params(coupling, update, nodes));
-    let (report, _) = spec.execute_with(cores, Default::default());
-    fingerprint(&report)
-}
-
 #[test]
 fn golden_gem_noforce_2_nodes() {
     let got = run(CouplingMode::GemLocking, UpdateStrategy::NoForce, 2);
@@ -100,25 +93,4 @@ fn golden_pcl_force_3_nodes() {
          writes=400ff141205bc01a deadlocks=0 timeouts=0 events=87540",
         "PCL/FORCE metrics drifted"
     );
-}
-
-/// The pipeline engine must hit the very same golden bits at every
-/// `cores` value — each stage count (source at 2, +stats at 3, +trace
-/// clamp at 4) reproduces the serial event and fold order exactly.
-#[test]
-fn golden_gem_noforce_holds_on_the_pipeline_engine() {
-    let serial = run(CouplingMode::GemLocking, UpdateStrategy::NoForce, 2);
-    for cores in [2, 3, 4] {
-        let got = run_at_cores(CouplingMode::GemLocking, UpdateStrategy::NoForce, 2, cores);
-        assert_eq!(got, serial, "GEM/NOFORCE drifted at cores={cores}");
-    }
-}
-
-#[test]
-fn golden_pcl_force_holds_on_the_pipeline_engine() {
-    let serial = run(CouplingMode::Pcl, UpdateStrategy::Force, 3);
-    for cores in [2, 3, 4] {
-        let got = run_at_cores(CouplingMode::Pcl, UpdateStrategy::Force, 3, cores);
-        assert_eq!(got, serial, "PCL/FORCE drifted at cores={cores}");
-    }
 }
