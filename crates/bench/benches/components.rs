@@ -1,11 +1,12 @@
 //! Microbenchmarks of the simulator's core data structures: the lock
-//! table, the LRU cache, the event calendar, the FIFO multi-server, and
-//! the random distributions. These are the inner loops of every
-//! simulation run. The trace-workload build steps and the GLA lookup
+//! table and its deadlock-scan test, the LRU cache, the event calendar,
+//! the FIFO multi-server, and the random distributions. These are the
+//! inner loops of every simulation run. The trace-workload build steps and the GLA lookup
 //! are the per-job set-up cost of every Fig. 4.7 run. Runs on the
 //! dependency-free [`dbshare_bench::minibench`] harness.
 
 use dbshare_bench::minibench::Bench;
+use dbshare_lockmgr::deadlock::{find_cycle, CycleProbe};
 use dbshare_lockmgr::{GemLockTable, LockMode, LockTable};
 use dbshare_model::{PageId, PartitionId, RoutingStrategy, TxnId};
 use dbshare_workload::routing::{affinity_table, gla_chunks};
@@ -54,6 +55,35 @@ fn lock_table(b: &Bench) {
             black_box(lt.waits_for_edges());
         });
     }
+}
+
+/// One deadlock-scan test on a hot debit-credit page as it looks at
+/// 128 nodes (a writer holding it, ~450 writers queued) plus 20 lightly
+/// locked pages: the compact-graph probe against the explicit edge
+/// list, its sort, and the DFS it replaces on acyclic scans.
+fn deadlock_scan(b: &Bench) {
+    let mut lt = LockTable::new();
+    lt.request(TxnId::new(0), page(0), LockMode::Write);
+    for w in 1..=450 {
+        lt.request(TxnId::new(w), page(0), LockMode::Write);
+    }
+    for p in 1..=20 {
+        let t = 1_000 + p * 2;
+        lt.request(TxnId::new(t), page(p), LockMode::Write);
+        lt.request(TxnId::new(t + 1), page(p), LockMode::Read);
+    }
+    let mut probe = CycleProbe::new();
+    b.bench("deadlock/scan_hot_queue/probe", || {
+        probe.clear();
+        lt.add_waits_for(&mut probe);
+        black_box(probe.has_cycle());
+    });
+    b.bench("deadlock/scan_hot_queue/edge_list", || {
+        let mut edges = lt.waits_for_edges();
+        edges.sort_unstable();
+        edges.dedup();
+        black_box(find_cycle(&edges));
+    });
 }
 
 fn gem_glt(b: &Bench) {
@@ -300,6 +330,7 @@ fn trace_setup(b: &Bench) {
 fn main() {
     let b = Bench::from_args();
     lock_table(&b);
+    deadlock_scan(&b);
     gem_glt(&b);
     lru(&b);
     calendar(&b);

@@ -248,6 +248,25 @@ fn ensure_writable_dir(flag: &str, dir: &str) {
     let _ = std::fs::remove_file(&probe);
 }
 
+/// Verifies an output file is writable *before* the run, as
+/// [`ensure_writable_dir`] does for directories: open it for appending
+/// (creating it, never truncating it) and remove it again if the probe
+/// created it. A bad `--json`/`--explain`/`--report` path exits 2
+/// immediately instead of failing after the simulations finish.
+fn ensure_writable_file(flag: &str, path: &Path) {
+    let existed = path.exists();
+    let probe = std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(path);
+    if let Err(e) = probe {
+        fail(&format!("{flag}: cannot write {}: {e}", path.display()));
+    }
+    if !existed {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 fn parse_nodes(s: &str) -> Vec<u16> {
     let nodes: Vec<u16> = s
         .split(',')
@@ -620,11 +639,6 @@ fn write_report(store_path: &Path, out_path: &Path) {
         return;
     }
     let page = html_report::render(&read.records);
-    if let Some(parent) = out_path.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            fail(&format!("cannot create {}: {e}", parent.display()));
-        }
-    }
     if let Err(e) = std::fs::write(out_path, page) {
         fail(&format!("cannot write {}: {e}", out_path.display()));
     }
@@ -815,8 +829,8 @@ fn main() {
     });
 
     // Likewise probe every export destination up front: an unwritable
-    // --trace/--timeline/--csv/--svg directory exits 2 now, not after
-    // the run.
+    // --trace/--timeline/--csv/--svg directory or --json/--explain/
+    // --report file exits 2 now, not after the run.
     for (flag, dir) in [
         ("--csv", &csv),
         ("--svg", &svg),
@@ -826,6 +840,34 @@ fn main() {
         if let Some(dir) = dir {
             ensure_writable_dir(flag, dir);
         }
+    }
+    let mut wanted: Vec<&Figure> = FIGURES.iter().filter(|f| want(f.name)).collect();
+    if let Some(scale_fig) = scale {
+        wanted.push(scale_fig);
+    }
+    // The artifact is written only when some job runs.
+    if !wanted.is_empty() {
+        ensure_writable_file("--json", Path::new(&json_path));
+    }
+    if let Some(sidecar_path) = &explain_to {
+        ensure_writable_file("--explain", Path::new(sidecar_path));
+    }
+    let report_path: Option<PathBuf> = report.map(|path| {
+        path.map(PathBuf::from)
+            .unwrap_or_else(|| Path::new(&history_dir).join("report.html"))
+    });
+    if let Some(path) = &report_path {
+        // The report, unlike the other files, may go into a new
+        // directory.
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            if let Err(e) = std::fs::create_dir_all(parent) {
+                fail(&format!(
+                    "--report: cannot create directory {}: {e}",
+                    parent.display()
+                ));
+            }
+        }
+        ensure_writable_file("--report", path);
     }
 
     let provenance = Provenance {
@@ -848,10 +890,6 @@ fn main() {
     // once, so late jobs of one figure overlap with early jobs of the
     // next. Each run is deterministic and results are reassembled in
     // input order, so stdout is byte-identical for any --jobs value.
-    let mut wanted: Vec<&Figure> = FIGURES.iter().filter(|f| want(f.name)).collect();
-    if let Some(scale_fig) = scale {
-        wanted.push(scale_fig);
-    }
     let sweeps: Vec<Sweep> = wanted
         .iter()
         .map(|fig| Sweep {
@@ -1059,11 +1097,7 @@ fn main() {
     if show_history {
         print_history(&store_path, &wanted);
     }
-    if let Some(report_path) = &report {
-        let out_path = report_path
-            .clone()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| Path::new(&history_dir).join("report.html"));
-        write_report(&store_path, &out_path);
+    if let Some(out_path) = &report_path {
+        write_report(&store_path, out_path);
     }
 }

@@ -62,10 +62,16 @@ fn unwritable_export_dir_exits_2_before_running() {
 }
 
 /// Bad flag values exit 2 with a message naming the flag, during
-/// argument parsing: no panic, and no tick-line flood from an interval
-/// that rounds to zero.
+/// argument parsing or the output-path checks before the run: no
+/// panic, no tick-line flood from an interval that rounds to zero, and
+/// no job started.
 #[test]
 fn bad_flag_values_exit_2_with_a_message() {
+    // A file path under a plain file is unwritable, even for root.
+    let blocker = TempPath::new("file-blocker");
+    fs::write(&blocker.0, b"plain file, not a directory").expect("scratch file");
+    let bad_file = blocker.0.join("x.json");
+    let bad_file = bad_file.to_str().expect("utf-8 path");
     let cases: &[(&[&str], &str)] = &[
         // Too large for a `Duration`.
         (&["--quick", "--ticker", "1e300", "fig41"], "--ticker"),
@@ -77,6 +83,19 @@ fn bad_flag_values_exit_2_with_a_message() {
         (
             &["--quick", "--cores", "2", "fig41"],
             "unknown flag \"--cores\"",
+        ),
+        // Output files checked before the run, not after it.
+        (
+            &["--quick", "--no-history", "--json", bad_file, "fig41"],
+            "--json",
+        ),
+        (
+            &["--quick", "--no-history", "--explain", bad_file, "fig41"],
+            "--explain",
+        ),
+        (
+            &["--quick", "--no-history", "--report", bad_file, "fig41"],
+            "--report",
         ),
     ];
     for (args, needle) in cases {
@@ -95,6 +114,10 @@ fn bad_flag_values_exit_2_with_a_message() {
         assert!(
             stderr.starts_with("error: ") && stderr.contains(needle),
             "{args:?}: stderr must be one error naming {needle}, got: {stderr}"
+        );
+        assert!(
+            !stderr.contains("[1/"),
+            "{args:?}: a job ran before validation failed: {stderr}"
         );
         assert!(
             started.elapsed().as_secs() < 30,

@@ -11,6 +11,7 @@
 //! most recent version. Comparing sequence numbers at lock time detects
 //! buffer invalidations without any extra communication.
 
+use crate::deadlock::CycleProbe;
 use crate::table::{LockMode, LockReply, LockTable};
 use dbshare_model::{NodeId, PageId, TxnId};
 use desim::fxhash::{self, FxHashMap};
@@ -138,6 +139,12 @@ impl GemLockTable {
     /// Waits-for edges for global deadlock detection.
     pub fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
         self.table.waits_for_edges()
+    }
+
+    /// Adds the compact waits-for graph to `probe`
+    /// ([`LockTable::add_waits_for`]).
+    pub fn add_waits_for(&self, probe: &mut CycleProbe) {
+        self.table.add_waits_for(probe)
     }
 
     /// Clears the page ownership of every page owned by `node` (the

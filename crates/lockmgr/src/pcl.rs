@@ -18,6 +18,7 @@
 //! revoked). Write locks first revoke outstanding RAs with explicit
 //! revocation messages and wait for the acknowledgements.
 
+use crate::deadlock::CycleProbe;
 use crate::table::{LockMode, LockReply, LockTable};
 use dbshare_model::{NodeId, PageId, TxnId};
 use desim::fxhash::{self, FxHashMap, FxHashSet};
@@ -158,6 +159,12 @@ impl GlaState {
         self.table.waits_for_edges()
     }
 
+    /// Adds this authority's compact waits-for graph to `probe`
+    /// ([`LockTable::add_waits_for`]).
+    pub fn add_waits_for(&self, probe: &mut CycleProbe) {
+        self.table.add_waits_for(probe)
+    }
+
     /// Current holders of `page` (diagnostics).
     pub fn holders_of(&self, page: PageId) -> Vec<(TxnId, LockMode)> {
         self.table.holders(page)
@@ -288,16 +295,13 @@ impl RaTable {
 
     /// Local transactions currently holding locally granted read locks
     /// on `page` (for distributed deadlock detection: a pending writer
-    /// waits for these).
-    pub fn readers(&self, page: PageId) -> Vec<TxnId> {
+    /// waits for these), in hash order: callers that need a
+    /// reproducible order sort.
+    pub fn readers(&self, page: PageId) -> impl Iterator<Item = TxnId> + '_ {
         self.entries
             .get(&page)
-            .map(|e| {
-                let mut v: Vec<TxnId> = e.readers.iter().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|e| e.readers.iter().copied())
     }
 }
 

@@ -6,6 +6,7 @@
 //! instantiates one per node for its GLA partition, plus small per-node
 //! tables for locally authorized read locks.
 
+use crate::deadlock::CycleProbe;
 use dbshare_model::{PageId, TxnId};
 use desim::fxhash::{self, FxHashMap, FxHashSet};
 use std::collections::VecDeque;
@@ -94,6 +95,9 @@ pub struct LockTable {
     held: FxHashMap<TxnId, FxHashSet<PageId>>,
     grants: u64,
     conflicts: u64,
+    /// Queue entries over all pages (a table with none adds nothing to
+    /// a waits-for graph).
+    queued: usize,
     /// Recycled [`LockState`]s: a page's entry is created on first
     /// conflict-free use and dropped once idle, so without recycling
     /// every lock cycle pays a holder-list allocation.
@@ -153,6 +157,7 @@ impl LockTable {
                 return LockReply::Granted;
             }
             self.conflicts += 1;
+            self.queued += 1;
             // Queue upgrades ahead of non-upgrade waiters.
             let pos = state.queue.iter().take_while(|w| w.upgrade).count();
             state.queue.insert(
@@ -172,6 +177,7 @@ impl LockTable {
             LockReply::Granted
         } else {
             self.conflicts += 1;
+            self.queued += 1;
             state.queue.push_back(Waiter {
                 txn,
                 mode,
@@ -188,11 +194,14 @@ impl LockTable {
             return Vec::new();
         };
         state.holders.retain(|&(t, _)| t != txn);
+        let queued = state.queue.len();
         state.queue.retain(|w| w.txn != txn);
+        self.queued -= queued - state.queue.len();
         if let Some(set) = self.held.get_mut(&txn) {
             set.remove(&page);
         }
         let granted = Self::promote(state);
+        self.queued -= granted.len();
         let idle = state.holders.is_empty() && state.queue.is_empty();
         for &(t, _) in &granted {
             self.index_held(t, page);
@@ -306,6 +315,85 @@ impl LockTable {
             }
         }
         edges
+    }
+
+    /// Adds this table's waits-for relation to `probe` in compact form:
+    /// the probe has a cycle through these pages exactly when
+    /// [`waits_for_edges`](Self::waits_for_edges) does.
+    ///
+    /// Per page with waiters, two virtual nodes stand for "any holder"
+    /// and "any write holder", and two chains of virtual nodes for
+    /// "any entry before position i" and "any write entry before
+    /// position i". A Write waiter points at the first of each kind, a
+    /// Read waiter at the write-only ones, so a queue of `q` costs
+    /// O(q + holders) edges where the explicit list costs O(q²). An
+    /// upgrader is itself a holder, so it points at the other holders
+    /// directly instead of reaching itself through "any holder".
+    /// Virtual nodes only point at earlier entries or holders, so they
+    /// close no cycle of their own. Every path between transactions is
+    /// an explicit edge or a chain of them, so the verdict is exact as
+    /// long as no transaction has two entries in one queue; with such
+    /// an entry (a transaction requesting while it waits, which the
+    /// engine never does) the probe may report a cycle the edge list
+    /// lacks, but never misses one.
+    pub fn add_waits_for(&self, probe: &mut CycleProbe) {
+        if self.queued == 0 {
+            return;
+        }
+        for state in self.locks.values() {
+            if state.queue.is_empty() {
+                continue;
+            }
+            let any_holder = probe.virtual_node();
+            let write_holder = probe.virtual_node();
+            for &(t, m) in &state.holders {
+                let id = probe.txn(t);
+                probe.edge(any_holder, id);
+                if m == LockMode::Write {
+                    probe.edge(write_holder, id);
+                }
+            }
+            let mut earlier: Option<u32> = None;
+            let mut earlier_write: Option<u32> = None;
+            for w in &state.queue {
+                let id = probe.txn(w.txn);
+                if w.upgrade {
+                    for &(t, m) in &state.holders {
+                        if t != w.txn && !m.compatible(w.mode) {
+                            let h = probe.txn(t);
+                            probe.edge(id, h);
+                        }
+                    }
+                } else {
+                    let holder = match w.mode {
+                        LockMode::Write => any_holder,
+                        LockMode::Read => write_holder,
+                    };
+                    probe.edge(id, holder);
+                }
+                let prior = match w.mode {
+                    LockMode::Write => earlier,
+                    LockMode::Read => earlier_write,
+                };
+                if let Some(prior) = prior {
+                    probe.edge(id, prior);
+                }
+                let entry = probe.virtual_node();
+                probe.edge(entry, id);
+                if let Some(prev) = earlier {
+                    probe.edge(entry, prev);
+                }
+                earlier = Some(entry);
+                if w.mode == LockMode::Write {
+                    let entry = probe.virtual_node();
+                    probe.edge(entry, id);
+                    if let Some(prev) = earlier_write {
+                        probe.edge(entry, prev);
+                    }
+                    earlier_write = Some(entry);
+                }
+            }
+        }
     }
 
     /// Total grants so far (including queued-then-granted).

@@ -128,42 +128,79 @@ impl Engine {
         }
     }
 
+    /// True if the waits-for graph has a cycle: the cheap first stage
+    /// of a scan, on the compact graph of `CycleProbe`. Its verdict
+    /// equals `find_cycle(&self.waits_for_edges()).is_some()`, and its
+    /// buffers live in the engine, so a steady-state scan allocates
+    /// nothing.
+    fn waits_for_has_cycle(&mut self) -> bool {
+        let mut probe = std::mem::take(&mut self.cycle_probe);
+        probe.clear();
+        match self.cfg.coupling {
+            CouplingMode::GemLocking | CouplingMode::LockEngine => {
+                self.glt.add_waits_for(&mut probe)
+            }
+            CouplingMode::Pcl => {
+                for g in &self.gla {
+                    g.add_waits_for(&mut probe);
+                }
+            }
+        }
+        self.pending_writer_waits(|writer, reader| probe.wait(writer, reader));
+        let cycle = probe.has_cycle();
+        self.cycle_probe = probe;
+        cycle
+    }
+
+    /// Calls `f(writer, reader)` for every pending writer and every
+    /// reader holding a locally authorized read lock on its page at
+    /// some node (read optimization): the writer waits for them.
+    fn pending_writer_waits(&self, mut f: impl FnMut(TxnId, TxnId)) {
+        for (&writer, pw) in &self.pending_writes {
+            for ctx in &self.nodes {
+                for reader in ctx.ra.readers(pw.ctx.page) {
+                    if reader != writer {
+                        f(writer, reader);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The explicit waits-for edge list, sorted and deduplicated: the
+    /// victim search's input.
+    fn waits_for_edges(&self) -> Vec<(TxnId, TxnId)> {
+        let mut edges = match self.cfg.coupling {
+            CouplingMode::GemLocking | CouplingMode::LockEngine => self.glt.waits_for_edges(),
+            CouplingMode::Pcl => {
+                let mut e = Vec::new();
+                for g in &self.gla {
+                    e.extend(g.waits_for_edges());
+                }
+                e
+            }
+        };
+        self.pending_writer_waits(|writer, reader| edges.push((writer, reader)));
+        // The edge list is assembled from hash maps; sort it so victim
+        // selection (and thus the whole run) is reproducible.
+        edges.sort_unstable();
+        edges.dedup();
+        edges
+    }
+
     /// Periodic scan: break *every* waits-for cycle (abort the youngest
-    /// member of each, re-collecting edges after every abort since an
-    /// abort wakes waiters) and abort any waiter past the lock timeout.
+    /// member of each, re-testing after every abort since an abort
+    /// wakes waiters) and abort any waiter past the lock timeout. The
+    /// explicit edge list and its DFS run only once the probe has
+    /// found a cycle, so they see exactly the input they always did.
     pub(crate) fn deadlock_scan(&mut self, now: SimTime) {
         if std::env::var_os("DBSHARE_AUDIT").is_some() {
             self.audit_grants(now);
         }
         self.check_watchdog(now);
         let mut guard = 0u32;
-        loop {
-            let mut edges = match self.cfg.coupling {
-                CouplingMode::GemLocking | CouplingMode::LockEngine => self.glt.waits_for_edges(),
-                CouplingMode::Pcl => {
-                    let mut e = Vec::new();
-                    for g in &self.gla {
-                        e.extend(g.waits_for_edges());
-                    }
-                    e
-                }
-            };
-            // Pending writers wait for locally authorized readers at
-            // other nodes (read optimization).
-            for (&writer, pw) in &self.pending_writes {
-                for ctx in &self.nodes {
-                    for reader in ctx.ra.readers(pw.ctx.page) {
-                        if reader != writer {
-                            edges.push((writer, reader));
-                        }
-                    }
-                }
-            }
-            // The edge list is assembled from hash maps; sort it so
-            // victim selection (and thus the whole run) is reproducible.
-            edges.sort_unstable();
-            edges.dedup();
-            let Some(cycle) = find_cycle(&edges) else {
+        while self.waits_for_has_cycle() {
+            let Some(cycle) = find_cycle(&self.waits_for_edges()) else {
                 break;
             };
             let victim = choose_victim(&cycle);
@@ -434,9 +471,7 @@ impl Engine {
             }
         }
         if self.is_gem_coupling() {
-            let mut edges = self.glt.waits_for_edges();
-            edges.sort_unstable();
-            edges.dedup();
+            let edges = self.waits_for_edges();
             eprintln!(
                 "  EDGES({}): {:?}",
                 edges.len(),

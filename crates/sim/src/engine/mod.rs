@@ -17,6 +17,7 @@ pub(crate) use txntable::TxnTable;
 
 use crate::metrics::{Counters, Metrics, RunProfile, RunReport};
 use crate::observe::Observe;
+use dbshare_lockmgr::deadlock::CycleProbe;
 use dbshare_lockmgr::pcl::{GlaState, RaTable};
 use dbshare_lockmgr::{GemLockTable, LockMode};
 use dbshare_model::config::ConfigError;
@@ -118,6 +119,8 @@ pub struct Engine {
     /// Reusable scratch: transactions drained from a crashed node's
     /// MPL input queue.
     pub(crate) scratch_queue: Vec<TxnId>,
+    /// Reusable scratch graph of the deadlock scan's cycle test.
+    pub(crate) cycle_probe: CycleProbe,
     /// Specs of retired transactions; the workload generator reuses
     /// their reference buffers for new draws.
     pub(crate) spare_specs: Vec<TxnSpec>,
@@ -219,6 +222,7 @@ impl Engine {
             part_names,
             scratch_nodes: Vec::new(),
             scratch_queue: Vec::new(),
+            cycle_probe: CycleProbe::new(),
             release_pool: Vec::new(),
             spare_specs: Vec::new(),
             local_logs: (0..cfg.nodes)

@@ -118,6 +118,19 @@ impl Workload for DeadlockProne {
     }
 }
 
+/// `(deadlock aborts, timeout aborts, committed, metric fingerprint)`
+/// of a run. Victim choice decides every abort and restart after it, so
+/// a change in which transaction a scan aborts moves these numbers even
+/// where `deadlock_aborts > 0` still holds.
+fn abort_outcome(r: &RunReport) -> (u64, u64, u64, String) {
+    (
+        r.deadlock_aborts,
+        r.timeout_aborts,
+        r.measured_txns,
+        r.metric_fingerprint(),
+    )
+}
+
 #[test]
 fn deadlocks_are_detected_and_resolved() {
     let nodes = 2;
@@ -163,11 +176,20 @@ fn deadlocks_are_detected_and_resolved() {
         "offered load sustained: {}",
         r.throughput_tps
     );
+    assert_eq!(
+        abort_outcome(&r),
+        (6, 0, 3_000, "24e70b2349c31380".to_string()),
+        "pinned deadlock victims"
+    );
 }
 
 #[test]
 fn both_protocols_handle_the_deadlock_prone_workload() {
-    for coupling in [CouplingMode::GemLocking, CouplingMode::Pcl] {
+    let pinned = [
+        (CouplingMode::GemLocking, 3, "d372ce0143c2a002"),
+        (CouplingMode::Pcl, 3, "545485418e1a2871"),
+    ];
+    for (coupling, deadlocks, fingerprint) in pinned {
         let nodes = 2;
         let mut cfg = SystemConfig::debit_credit(nodes);
         cfg.coupling = coupling;
@@ -190,6 +212,11 @@ fn both_protocols_handle_the_deadlock_prone_workload() {
         cfg.partitions = Workload::partitions(&wl).to_vec();
         let r = Engine::new(cfg, Box::new(wl)).expect("valid").run();
         assert_eq!(r.measured_txns, 1_500, "{coupling:?} run must complete");
+        assert_eq!(
+            abort_outcome(&r),
+            (deadlocks, 0, 1_500, fingerprint.to_string()),
+            "{coupling:?}: pinned deadlock victims"
+        );
     }
 }
 
