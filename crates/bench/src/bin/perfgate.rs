@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Reads recorded history from the store file and the run under test
-//! from its `BENCH_repro.json` artifact, then applies the store's gate
-//! ([`dbshare_expstore::gate`]):
+//! from the store records that are its `BENCH_repro.json` artifact's
+//! rows ([`dbshare_harness::read_artifact`]), then applies the store's
+//! gate ([`dbshare_expstore::gate`]):
 //!
 //! - **exit 1** when any job with an unchanged config fingerprint
 //!   produced a different metric fingerprint (the simulator is
@@ -15,13 +16,15 @@
 //!   `--max-regress-pct` percent (default 50) below the best recorded
 //!   run of the identical job set;
 //! - **exit 2** on unusable input: missing or malformed history or
-//!   artifact, or a history with nothing to gate against. A gate that
+//!   artifact (another artifact schema, a row the store would reject),
+//!   or a history with nothing to gate against. A gate that
 //!   cannot see its baseline must fail loudly, not pass vacuously.
 //!
 //! Figures whose config set has no recorded counterpart are reported
 //! and skipped — changing a sweep's shape is not a regression.
 
-use dbshare_expstore::{gate_check, read_artifact_records, Store};
+use dbshare_expstore::{gate_check, Store};
+use dbshare_harness::read_artifact;
 use std::path::Path;
 
 fn fail(msg: &str) -> ! {
@@ -72,7 +75,7 @@ fn main() {
     if read.records.is_empty() {
         fail(&format!("history store {history_path} holds no records"));
     }
-    let current = read_artifact_records(Path::new(artifact_path)).unwrap_or_else(|e| fail(&e));
+    let current = read_artifact(Path::new(artifact_path)).unwrap_or_else(|e| fail(&e));
     if current.is_empty() {
         fail(&format!("artifact {artifact_path} holds no job records"));
     }

@@ -3,8 +3,8 @@
 //! ```text
 //! repro [--quick] [--jobs N] [--json PATH] [--nodes 1,2,5,10]
 //!       [--csv DIR] [--svg DIR] [--trace DIR] [--timeline DIR]
-//!       [--profile] [--alloc-stats] [--compare OLD.json]
-//!       [--history [DIR]] [--report [PATH]] [--no-history] [-v]
+//!       [--profile] [--history [DIR]] [--report [PATH]]
+//!       [--no-history] [-v]
 //!       [--scale smoke|full] [--explain [PATH]] [--knee smoke|full]
 //!       [--ticker [SECS]]
 //!       [table41|fig41|fig42|fig43|fig44|fig45|fig46|fig47|lockengine|all]
@@ -16,34 +16,28 @@
 //! figures are flattened into independent jobs and executed on the
 //! `dbshare-harness` worker pool (`--jobs N`, default: every CPU);
 //! every run is deterministic, so the printed tables are byte-identical
-//! for any worker count. Progress goes to stderr; a per-job artifact
-//! with wall-clocks, seeds, and headline metrics is written to
-//! `BENCH_repro.json` (`--json PATH` to relocate). `--verbose`
+//! for any worker count. Progress goes to stderr. `--verbose`
 //! additionally prints the full per-run reports; `--csv DIR` writes
 //! every report field per figure; `--svg DIR` draws each figure.
+//!
+//! Every job becomes one experiment-store record: config and metric
+//! fingerprints, build provenance, host cost (wall-clock, events,
+//! allocations per event from the binary's counting global allocator,
+//! peak RSS), and the binding constraint. The run appends its records
+//! to `exphistory/history.jsonl` (`--history DIR` to relocate,
+//! `--no-history` to skip) and writes the same records as the rows of
+//! `BENCH_repro.json` (`--json PATH` to relocate), under a header with
+//! the suite's allocations per event, peak RSS, and command line.
+//! `--history` prints per-figure trend tables over every recorded run
+//! to stderr, including the delta against the best prior run of the
+//! identical job set; `--report [PATH]` renders the same store as an
+//! HTML page (default `<store dir>/report.html`). The separate
+//! `perfgate` binary gates an artifact against a store in CI.
 //! `--profile` prints the engine's always-on event-loop counters
 //! (per-event-type and per-subsystem, aggregated per figure and for
-//! the whole suite, with events/s of host wall-clock) to stderr —
-//! stdout stays byte-identical with or without the flag.
-//!
-//! The binary installs a counting global allocator (a thread-local
-//! increment per allocation), so every artifact records per-job
-//! `host_allocs` / `allocs_per_event`. `--alloc-stats` additionally
-//! prints the per-figure and suite allocs/event to stderr, and
-//! `--compare OLD.json` prints a per-figure delta table (wall seconds,
-//! events/s, allocs/event) between this run and a saved artifact —
-//! the old file is validated *before* the run starts and a
-//! missing/malformed artifact exits non-zero.
-//!
-//! Every run is also appended to the experiment store — one JSON line
-//! per job under `exphistory/history.jsonl` (`--history DIR` to
-//! relocate, `--no-history` to skip) — with config and metric
-//! fingerprints, build provenance, and host cost. `--history` prints
-//! per-figure trend tables over every recorded run to stderr,
-//! including the delta against the best prior run of the identical
-//! job set; `--report [PATH]` renders the same store as an HTML page
-//! (default `<store dir>/report.html`). The separate `perfgate`
-//! binary turns the store into a CI regression gate.
+//! the whole suite, with events/s of host wall-clock and allocations
+//! per event) to stderr — stdout stays byte-identical with or without
+//! the flag.
 //!
 //! `--timeline DIR` turns on the simulator's timeline sampler and
 //! writes one CSV per figure (`<fig>_timeline.csv`: windowed
@@ -89,22 +83,20 @@
 use dbshare_bench::chart::Chart;
 use dbshare_bench::html_report;
 use dbshare_bench::trace_export::{self, TimelineRows};
-use dbshare_expstore::{
-    figure_runs, gate_check, read_artifact_records, short_rev, FigureRun, Record,
-};
+use dbshare_expstore::{figure_runs, short_rev, FigureRun};
 use dbshare_harness::{
-    rss, run_knee, write_artifact, CountingAlloc, Harness, History, Json, Observe, Outcome,
-    Provenance, Store, Sweep,
+    rss, run_knee, write_artifact, CountingAlloc, Harness, History, Json, Observe, Outcome, Store,
+    Sweep,
 };
 use dbshare_sim::experiments::{self, CurveGrid, RunLength, ScalePreset, Series};
 use dbshare_sim::explain;
 use dbshare_sim::{RunProfile, RunReport};
 use std::path::{Path, PathBuf};
 
-/// Count every heap allocation the reproduction performs, so
-/// `--alloc-stats` can report per-job allocator traffic and the
-/// artifact can pin allocs/event. Counting is a thread-local increment
-/// per `alloc`/`realloc` — cheap enough to leave always on.
+/// Count every heap allocation the reproduction performs, so every
+/// record carries allocs/event and `--profile` can report it. Counting
+/// is a thread-local increment per `alloc`/`realloc` — cheap enough to
+/// leave always on.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
@@ -441,120 +433,6 @@ fn write_traces(dir: &str, figure: &str, outcome: &Outcome) {
     }
 }
 
-/// Per-figure aggregate of the numbers `--alloc-stats` and `--compare`
-/// work with.
-#[derive(Default, Clone, Copy)]
-struct FigureAgg {
-    wall_secs: f64,
-    events: u64,
-    allocs: f64,
-}
-
-impl FigureAgg {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_secs.max(1e-9)
-    }
-    fn allocs_per_event(&self) -> f64 {
-        self.allocs / (self.events.max(1)) as f64
-    }
-}
-
-/// Aggregates the current run per figure (preserving `figures` order)
-/// plus a trailing `"suite"` total.
-fn aggregate_outcome(outcome: &Outcome, figures: &[&Figure]) -> Vec<(String, FigureAgg)> {
-    let mut rows: Vec<(String, FigureAgg)> = Vec::new();
-    let mut suite = FigureAgg::default();
-    for fig in figures {
-        let mut agg = FigureAgg::default();
-        for res in outcome.results.iter().filter(|r| r.job.figure == fig.name) {
-            agg.wall_secs += res.wall_secs;
-            agg.events += res.report.events_processed;
-            agg.allocs += res.report.profile.host_allocs as f64;
-        }
-        suite.wall_secs += agg.wall_secs;
-        suite.events += agg.events;
-        suite.allocs += agg.allocs;
-        rows.push((fig.name.to_string(), agg));
-    }
-    rows.push(("suite".to_string(), suite));
-    rows
-}
-
-/// Folds experiment-store records (from any source: a saved artifact
-/// via [`read_artifact_records`], or the current run via
-/// [`Outcome::store_records`]) into the same per-figure shape, with a
-/// trailing `"suite"` total. Figures keep first-appearance order.
-fn aggregates_from_records(records: &[Record]) -> Vec<(String, FigureAgg)> {
-    let mut rows: Vec<(String, FigureAgg)> = Vec::new();
-    let mut suite = FigureAgg::default();
-    for rec in records {
-        let agg = match rows.iter_mut().find(|(name, _)| *name == rec.figure) {
-            Some((_, agg)) => agg,
-            None => {
-                rows.push((rec.figure.clone(), FigureAgg::default()));
-                &mut rows.last_mut().expect("just pushed").1
-            }
-        };
-        agg.wall_secs += rec.wall_secs;
-        agg.events += rec.events_processed;
-        agg.allocs += rec.allocs_per_event * rec.events_processed as f64;
-        suite.wall_secs += rec.wall_secs;
-        suite.events += rec.events_processed;
-        suite.allocs += rec.allocs_per_event * rec.events_processed as f64;
-    }
-    rows.push(("suite".to_string(), suite));
-    rows
-}
-
-/// Prints the `--compare` delta table: old vs new wall-clock, event
-/// rate, and allocs/event for every figure both runs contain.
-fn print_compare(old_path: &str, old: &[(String, FigureAgg)], new: &[(String, FigureAgg)]) {
-    eprintln!("\n=== comparison vs {old_path} ===");
-    eprintln!(
-        "{:<12}{:>10}{:>10}{:>8}  {:>11}{:>11}{:>8}  {:>10}{:>10}{:>8}",
-        "figure",
-        "wall_old",
-        "wall_new",
-        "x",
-        "ev/s_old",
-        "ev/s_new",
-        "x",
-        "al/ev_old",
-        "al/ev_new",
-        "x"
-    );
-    for (name, cur) in new {
-        let Some((_, prev)) = old.iter().find(|(n, _)| n == name) else {
-            eprintln!("{name:<12}(not in old artifact)");
-            continue;
-        };
-        let ratio = |old_v: f64, new_v: f64| {
-            if new_v.abs() < 1e-12 {
-                f64::NAN
-            } else {
-                old_v / new_v
-            }
-        };
-        eprintln!(
-            "{:<12}{:>9.2}s{:>9.2}s{:>7.2}x  {:>11.0}{:>11.0}{:>7.2}x  {:>10.4}{:>10.4}{:>7.2}x",
-            name,
-            prev.wall_secs,
-            cur.wall_secs,
-            ratio(prev.wall_secs, cur.wall_secs),
-            prev.events_per_sec(),
-            cur.events_per_sec(),
-            ratio(cur.events_per_sec(), prev.events_per_sec()),
-            prev.allocs_per_event(),
-            cur.allocs_per_event(),
-            ratio(prev.allocs_per_event(), cur.allocs_per_event()),
-        );
-    }
-    eprintln!(
-        "(x columns: wall and allocs/event are old/new — higher is better; \
-         ev/s is new/old — higher is better)"
-    );
-}
-
 /// Prints per-figure trend tables over every run the store recorded.
 /// Stderr only — wall-clocks differ run to run, and stdout must stay
 /// byte-identical with or without the flag.
@@ -660,8 +538,6 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut verbose = false;
     let mut profile = false;
-    let mut alloc_stats = false;
-    let mut compare: Option<String> = None;
     let mut csv: Option<String> = None;
     let mut svg: Option<String> = None;
     let mut trace_dir: Option<String> = None;
@@ -694,11 +570,6 @@ fn main() {
             "--quick" => run = RunLength::quick(),
             "--verbose" | "-v" => verbose = true,
             "--profile" => profile = true,
-            "--alloc-stats" => alloc_stats = true,
-            "--compare" => {
-                i += 1;
-                compare = Some(arg_value(&args, i, "--compare").to_string());
-            }
             "--nodes" => {
                 i += 1;
                 nodes = Some(parse_nodes(arg_value(&args, i, "--nodes")));
@@ -795,8 +666,8 @@ fn main() {
             }
             other if other.starts_with('-') => fail(&format!(
                 "unknown flag {other:?} (try --quick, --jobs, --json, --nodes, --csv, \
-                 --svg, --trace, --timeline, --profile, --alloc-stats, --compare, --history, \
-                 --report, --no-history, --scale, --explain, --knee, --ticker, -v)"
+                 --svg, --trace, --timeline, --profile, --history, --report, \
+                 --no-history, --scale, --explain, --knee, --ticker, -v)"
             )),
             other => which.push(other.to_string()),
         }
@@ -819,16 +690,8 @@ fn main() {
     let all = which.iter().any(|w| w == "all");
     let want = |name: &str| all || which.iter().any(|w| w == name);
 
-    // Validate the --compare baseline *before* the (possibly long) run:
-    // a missing or malformed artifact fails fast and non-zero instead
-    // of wasting the run and limping through with an empty table.
-    let compare_old: Option<(String, Vec<Record>)> = compare.as_ref().map(|old_path| {
-        let records = read_artifact_records(Path::new(old_path))
-            .unwrap_or_else(|e| fail(&format!("--compare: {e}")));
-        (old_path.clone(), records)
-    });
-
-    // Likewise probe every export destination up front: an unwritable
+    // Probe every export destination before the (possibly long) run:
+    // an unwritable
     // --trace/--timeline/--csv/--svg directory or --json/--explain/
     // --report file exits 2 now, not after the run.
     for (flag, dir) in [
@@ -870,11 +733,6 @@ fn main() {
         ensure_writable_file("--report", path);
     }
 
-    let provenance = Provenance {
-        git_revision: env!("REPRO_GIT_REVISION").to_string(),
-        rustc_version: env!("REPRO_RUSTC_VERSION").to_string(),
-        build_profile: env!("REPRO_BUILD_PROFILE").to_string(),
-    };
     let store_path: PathBuf = Path::new(&history_dir).join("history.jsonl");
 
     let dc_nodes = nodes
@@ -917,7 +775,6 @@ fn main() {
     if !no_history {
         harness = harness.history(History {
             path: store_path.clone(),
-            provenance: provenance.clone(),
         });
     }
     if let Some(every) = ticker {
@@ -995,10 +852,11 @@ fn main() {
             }
             suite.merge(&agg);
             eprintln!(
-                "profile [{}]: {:.0} events/s over {:.2}s job wall",
+                "profile [{}]: {:.0} events/s over {:.2}s job wall, {:.4} allocs/event",
                 fig.name,
                 events as f64 / wall.max(1e-9),
-                wall
+                wall,
+                agg.allocs_per_event()
             );
             eprintln!("{agg}");
         }
@@ -1008,79 +866,26 @@ fn main() {
             .map(|r| r.report.events_processed)
             .sum();
         eprintln!(
-            "profile [suite]: {:.0} events/s over {:.2}s pool wall ({} events, {} jobs)",
+            "profile [suite]: {:.0} events/s over {:.2}s pool wall ({} events, {} jobs), \
+             {:.4} allocs/event",
             total_events as f64 / outcome.total_wall_secs.max(1e-9),
             outcome.total_wall_secs,
             total_events,
-            outcome.results.len()
+            outcome.results.len(),
+            suite.allocs_per_event()
         );
         eprintln!("{suite}");
     }
 
-    if alloc_stats && !outcome.results.is_empty() {
-        // Stderr for the same reason as --profile: stdout stays
-        // byte-identical with or without the flag.
-        for (name, agg) in aggregate_outcome(&outcome, &wanted) {
-            eprintln!(
-                "alloc [{name}]: {:.4} allocs/event ({} allocs, {} events, {:.2}s job wall)",
-                agg.allocs_per_event(),
-                agg.allocs,
-                agg.events,
-                agg.wall_secs
-            );
-        }
-    }
-
-    if let Some((old_path, old)) = &compare_old {
-        if !outcome.results.is_empty() {
-            let current = outcome.store_records(&provenance);
-            print_compare(
-                old_path,
-                &aggregates_from_records(old),
-                &aggregates_from_records(&current),
-            );
-            // The store's gate, run informationally: flags metric drift
-            // for unchanged config fingerprints and reports each
-            // figure's events/s against the baseline's best comparable
-            // run — the same checks `perfgate` enforces in CI.
-            let gate = gate_check(old, &current, 50.0);
-            for note in &gate.notes {
-                eprintln!("compare: ok: {note}");
-            }
-            for failure in &gate.failures {
-                eprintln!("compare: NOTE: {failure}");
-            }
-        }
-    }
-
     if !outcome.results.is_empty() {
-        // Stamp the artifact with build/run provenance (captured by the
-        // crate's build script) so a saved BENCH_repro.json records
-        // exactly which build and command produced it.
+        // The rows carry the build's provenance; the header adds the
+        // command that produced them.
         let mut doc = outcome.artifact();
-        doc.set(
-            "provenance",
-            Json::obj(vec![
-                ("git_revision", Json::Str(env!("REPRO_GIT_REVISION").into())),
-                (
-                    "rustc_version",
-                    Json::Str(env!("REPRO_RUSTC_VERSION").into()),
-                ),
-                (
-                    "build_profile",
-                    Json::Str(env!("REPRO_BUILD_PROFILE").into()),
-                ),
-                (
-                    "command_line",
-                    Json::Str(
-                        std::iter::once("repro".to_string())
-                            .chain(args.iter().cloned())
-                            .collect::<Vec<_>>()
-                            .join(" "),
-                    ),
-                ),
-            ]),
-        );
+        let command_line = std::iter::once("repro".to_string())
+            .chain(args.iter().cloned())
+            .collect::<Vec<_>>()
+            .join(" ");
+        doc.set("command_line", Json::Str(command_line));
         if let Err(e) = write_artifact(Path::new(&json_path), &doc) {
             fail(&format!("cannot write {json_path}: {e}"));
         }

@@ -84,6 +84,16 @@ fn bad_flag_values_exit_2_with_a_message() {
             &["--quick", "--cores", "2", "fig41"],
             "unknown flag \"--cores\"",
         ),
+        // Removed: comparing runs is `--history` or `perfgate`, and
+        // `--profile` prints allocations per event.
+        (
+            &["--quick", "--compare", "x", "fig41"],
+            "unknown flag \"--compare\"",
+        ),
+        (
+            &["--quick", "--alloc-stats", "fig41"],
+            "unknown flag \"--alloc-stats\"",
+        ),
         // Output files checked before the run, not after it.
         (
             &["--quick", "--no-history", "--json", bad_file, "fig41"],

@@ -6,8 +6,8 @@
 //!    in history must reproduce the recorded metric fingerprint
 //!    bit-for-bit — the simulator is deterministic, so *any* change in
 //!    results for an unchanged configuration is a correctness
-//!    regression, not noise. Records without a metric fingerprint
-//!    (pre-store artifacts) are skipped.
+//!    regression, not noise. Records with an empty metric fingerprint
+//!    are skipped.
 //! 2. **Event-rate regression (thresholded).** Per figure, the fresh
 //!    run's aggregate events/s must stay within `max_regress_pct`
 //!    percent of the best recorded run of the *same config set*

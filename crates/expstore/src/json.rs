@@ -6,12 +6,19 @@
 //! render as `null`, keeping every emitted document
 //! standard-conformant. The parser accepts exactly the grammar the
 //! writers emit (plus arbitrary whitespace), which is what the
-//! round-trip regression tests rely on. [`Json::render`] produces the
+//! round-trip regression tests rely on. Nesting deeper than
+//! [`MAX_DEPTH`] is a parse error rather than a stack overflow.
+//! [`Json::render`] produces the
 //! pretty document form (`BENCH_repro.json`); [`Json::render_line`]
 //! produces the compact single-line form the store's line-delimited
 //! log uses — both re-serialize byte-identically after a parse.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Artifacts and store rows nest at most four levels; the limit keeps
+/// the recursive parser's stack bounded on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,6 +203,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -250,6 +258,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -294,12 +304,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -390,8 +414,11 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let code = std::str::from_utf8(hex)
                                 .ok()
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             // The writer only emits \u for control
@@ -505,6 +532,38 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "nul", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).expect_err("200k-deep document");
+        assert!(err.msg.contains("nesting"), "unhelpful error: {err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let deep_obj = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&deep_obj).is_err());
+        // The limit itself is accepted, for arrays and objects alike.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let obj_at_limit = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&obj_at_limit).is_ok());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            Json::parse("\"\\u0041\\u00e9\"").expect("parses"),
+            Json::Str("A\u{e9}".into())
+        );
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u004g\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad}");
         }
     }
 

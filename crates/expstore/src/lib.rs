@@ -1,9 +1,11 @@
 //! The queryable experiment store: persistent regression history for
 //! the reproduction's benchmark runs.
 //!
-//! `BENCH_repro.json` is a snapshot of *one* run; this crate is the
-//! memory across runs. It is layered like a scaled-down
-//! persistence/index split:
+//! This crate is the memory across runs; its [`Record`] is the one
+//! per-job schema. `BENCH_repro.json` is a snapshot of *one* run whose
+//! rows are these records; the harness writes and reads that document,
+//! and this crate does not know its format. It is layered like a
+//! scaled-down persistence/index split:
 //!
 //! - [`json`] — the dependency-free JSON value every layer above
 //!   serializes with (moved here from `dbshare-harness`, which
@@ -18,21 +20,17 @@
 //!   stamped with a config-set fingerprint;
 //! - [`gate`] — the policy layer: exact metric-fingerprint matching
 //!   and thresholded events/s regression checks against the best
-//!   comparable recorded run;
-//! - [`artifact_io`] — the bridge from a single-run
-//!   `BENCH_repro.json` into records.
+//!   comparable recorded run.
 //!
 //! The crate has no dependencies at all (not even on the simulator),
 //! so anything that can produce a [`Record`] can use the store.
 
-pub mod artifact_io;
 pub mod gate;
 pub mod index;
 pub mod json;
 pub mod log;
 pub mod record;
 
-pub use artifact_io::{read_artifact_records, records_from_artifact};
 pub use gate::{check as gate_check, short_rev, GateOutcome};
 pub use index::{figure_runs, FigureRun, Index};
 pub use json::{Json, ParseError};

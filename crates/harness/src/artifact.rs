@@ -1,135 +1,54 @@
 //! Run artifacts: the `BENCH_repro.json` document.
 //!
-//! One record per executed job, capturing what you need to audit or
-//! diff a reproduction run: which figure/curve/point it was, the seed
-//! and a fingerprint of the full configuration, the host wall-clock it
-//! cost, and the headline simulated metrics. The document is built
-//! from the in-repo [`Json`] value, so it round-trips through
-//! [`Json::parse`] — the determinism regression test relies on that.
+//! The document is a small header of run-level totals followed by
+//! `records`: one store [`Record`] per job, rendered with
+//! [`Record::to_json`] — exactly the row the same run appends to the
+//! experiment store. The store's row schema is the only per-job
+//! schema; [`read_artifact`] reads the rows back with
+//! [`Record::from_json`], so a consumer of the artifact (`perfgate`)
+//! rejects any row the store would reject.
 
 use crate::json::Json;
 use crate::pool::JobResult;
+use dbshare_expstore::Record;
 use dbshare_sim::experiments::RunSpec;
 use std::io::Write as _;
 use std::path::Path;
 
 /// Artifact schema identifier, bumped on incompatible layout changes.
-pub const SCHEMA: &str = "dbshare-bench/1";
+/// Version 2 made every row a store [`Record`].
+pub const SCHEMA: &str = "dbshare-bench/2";
 
 /// A 64-bit FNV-1a hash of the spec's full `Debug` rendering, as
 /// 16 hex digits. Two jobs share a fingerprint iff their complete
 /// configuration (every parameter, including seed and run length) is
 /// identical — cheap to compare across artifact files.
 pub fn fingerprint(spec: &RunSpec) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{spec:?}").bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    dbshare_expstore::fnv1a_hex(&format!("{spec:?}"))
 }
 
-/// Builds the artifact document for one harness run.
-///
-/// `created_unix` is seconds since the Unix epoch (pass `None` in
-/// tests for a reproducible document).
-pub fn artifact(
-    results: &[JobResult],
-    workers: usize,
-    host_cpus: u32,
-    total_wall_secs: f64,
-    created_unix: Option<u64>,
-) -> Json {
-    let records: Vec<Json> = results.iter().map(record).collect();
+/// Builds the artifact document from a run's job results and the store
+/// rows of those jobs: the suite's allocations per event and peak RSS,
+/// then the rows.
+pub fn document(results: &[JobResult], records: &[Record]) -> Json {
     let total_events: u64 = results.iter().map(|r| r.report.events_processed).sum();
     let total_allocs: u64 = results.iter().map(|r| r.report.profile.host_allocs).sum();
-    let peak_rss = results
+    let peak_rss = records
         .iter()
         .filter_map(|r| r.peak_rss_mb)
-        .fold(None::<f64>, |acc, mb| Some(acc.map_or(mb, |a| a.max(mb))));
+        .reduce(f64::max)
+        .map_or(Json::Null, Json::Num);
     Json::obj(vec![
         ("schema", Json::Str(SCHEMA.into())),
         (
-            "created_unix",
-            match created_unix {
-                Some(t) => Json::Num(t as f64),
-                None => Json::Null,
-            },
-        ),
-        ("workers", Json::Num(workers as f64)),
-        ("host_cpus", Json::Num(f64::from(host_cpus))),
-        ("jobs", Json::Num(results.len() as f64)),
-        ("total_wall_secs", Json::Num(total_wall_secs)),
-        ("total_events", Json::Num(total_events as f64)),
-        (
-            "events_per_sec",
-            Json::Num(total_events as f64 / total_wall_secs.max(1e-9)),
-        ),
-        ("total_allocs", Json::Num(total_allocs as f64)),
-        (
             "allocs_per_event",
-            Json::Num(total_allocs as f64 / (total_events.max(1)) as f64),
+            Json::Num(total_allocs as f64 / total_events.max(1) as f64),
         ),
+        ("peak_rss_mb", peak_rss),
         (
-            "peak_rss_mb",
-            match peak_rss {
-                Some(mb) => Json::Num(mb),
-                None => Json::Null,
-            },
+            "records",
+            Json::Arr(records.iter().map(Record::to_json).collect()),
         ),
-        ("records", Json::Arr(records)),
-    ])
-}
-
-/// The per-job record inside the artifact's `records` array.
-fn record(result: &JobResult) -> Json {
-    let r = &result.report;
-    let disks = r
-        .disk_utilizations
-        .iter()
-        .map(|(name, util)| (name.clone(), Json::Num(*util)))
-        .collect();
-    Json::obj(vec![
-        ("figure", Json::Str(result.job.figure.clone())),
-        ("curve", Json::Str(result.job.curve.clone())),
-        ("nodes", Json::Num(f64::from(result.job.nodes))),
-        ("seed", Json::Num(result.job.spec.seed() as f64)),
-        (
-            "config_fingerprint",
-            Json::Str(fingerprint(&result.job.spec)),
-        ),
-        ("metric_fingerprint", Json::Str(r.metric_fingerprint())),
-        ("wall_secs", Json::Num(result.wall_secs)),
-        (
-            "peak_rss_mb",
-            match result.peak_rss_mb {
-                Some(mb) => Json::Num(mb),
-                None => Json::Null,
-            },
-        ),
-        ("events_processed", Json::Num(r.events_processed as f64)),
-        (
-            "events_per_sec",
-            Json::Num(r.events_processed as f64 / result.wall_secs.max(1e-9)),
-        ),
-        ("host_allocs", Json::Num(r.profile.host_allocs as f64)),
-        (
-            "host_alloc_bytes",
-            Json::Num(r.profile.host_alloc_bytes as f64),
-        ),
-        ("allocs_per_event", Json::Num(r.profile.allocs_per_event())),
-        ("sim_seconds", Json::Num(r.sim_seconds)),
-        ("measured_txns", Json::Num(r.measured_txns as f64)),
-        ("mean_response_ms", Json::Num(r.mean_response_ms)),
-        ("norm_response_ms", Json::Num(r.norm_response_ms)),
-        ("throughput_tps", Json::Num(r.throughput_tps)),
-        (
-            "tps_per_node_at_80pct_cpu",
-            Json::Num(r.tps_per_node_at_80pct_cpu),
-        ),
-        ("cpu_utilization", Json::Num(r.cpu_utilization)),
-        ("gem_utilization", Json::Num(r.gem_utilization)),
-        ("disk_utilizations", Json::Obj(disks)),
     ])
 }
 
@@ -138,6 +57,27 @@ pub fn write_artifact(path: &Path, doc: &Json) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(doc.render().as_bytes())?;
     file.write_all(b"\n")
+}
+
+/// Reads an artifact's rows back as store records. An unreadable file,
+/// another schema, or a row the store would reject is an error naming
+/// the file: a gate that silently read nothing would pass vacuously.
+pub fn read_artifact(path: &Path) -> Result<Vec<Record>, String> {
+    let name = path.display();
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {name}: {e}"))?;
+    let doc = Json::parse(&text).map_err(|e| format!("{name} is not a valid artifact: {e}"))?;
+    let schema = doc.get("schema").and_then(Json::as_str);
+    if schema != Some(SCHEMA) {
+        return Err(format!("{name}: schema {schema:?} is not {SCHEMA:?}"));
+    }
+    let rows = doc
+        .get("records")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("{name}: artifact has no records array"))?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| Record::from_json(row).map_err(|e| format!("{name}: record {i}: {e}")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -161,10 +101,10 @@ mod tests {
         assert_eq!(fingerprint(&a).len(), 16);
     }
 
-    #[test]
-    fn artifact_has_one_record_per_job_with_headline_fields() {
+    /// A three-job run's outcome, every job sampling a 128 MB RSS.
+    fn outcome() -> crate::Outcome {
         let spec = RunSpec::DebitCredit(DebitCreditRun::baseline(1, TINY));
-        let results: Vec<JobResult> = (0..3)
+        let results = (0..3)
             .map(|i| JobResult {
                 job: crate::Job {
                     figure: format!("fig{i}"),
@@ -179,11 +119,30 @@ mod tests {
                 peak_rss_mb: Some(128.0),
             })
             .collect();
-        let doc = artifact(&results, 2, 8, 1.5, Some(1_700_000_000));
+        crate::Outcome {
+            figures: Vec::new(),
+            results,
+            workers: 2,
+            host_cpus: 8,
+            total_wall_secs: 1.5,
+            created_unix: Some(1_700_000_000),
+            run_id: "r1700000000-1-0".into(),
+        }
+    }
+
+    fn temp_file(name: &str) -> std::path::PathBuf {
+        let mut path = std::env::temp_dir();
+        path.push(format!("dbshare-artifact-{}-{name}", std::process::id()));
+        path
+    }
+
+    #[test]
+    fn artifact_has_one_record_per_job_with_headline_fields() {
+        let outcome = outcome();
+        let doc = outcome.artifact();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(doc.get("host_cpus").and_then(Json::as_f64), Some(8.0));
-        assert_eq!(doc.get("jobs").and_then(Json::as_f64), Some(3.0));
         assert_eq!(doc.get("peak_rss_mb").and_then(Json::as_f64), Some(128.0));
+        assert!(doc.get("allocs_per_event").and_then(Json::as_f64).is_some());
         let records = doc.get("records").and_then(Json::as_arr).expect("records");
         assert_eq!(records.len(), 3);
         for (i, rec) in records.iter().enumerate() {
@@ -192,19 +151,69 @@ mod tests {
                 Some(&*format!("fig{i}"))
             );
             assert_eq!(rec.get("wall_secs").and_then(Json::as_f64), Some(0.25));
+            assert_eq!(rec.get("host_cpus").and_then(Json::as_f64), Some(8.0));
             for key in [
+                "run",
+                "git_revision",
                 "seed",
                 "config_fingerprint",
                 "metric_fingerprint",
-                "sim_seconds",
                 "mean_response_ms",
                 "throughput_tps",
-                "cpu_utilization",
-                "gem_utilization",
-                "disk_utilizations",
+                "binding",
+                "utilizations",
             ] {
                 assert!(rec.get(key).is_some(), "missing {key}");
             }
         }
+    }
+
+    #[test]
+    fn read_back_rows_equal_the_store_records() {
+        let outcome = outcome();
+        let path = temp_file("readback.json");
+        write_artifact(&path, &outcome.artifact()).expect("writes");
+        let read = read_artifact(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            read.expect("reads back"),
+            outcome.store_records(&crate::provenance())
+        );
+    }
+
+    #[test]
+    fn missing_records_array_is_an_error() {
+        let path = temp_file("norecords.json");
+        let doc = Json::obj(vec![("schema", Json::Str(SCHEMA.into()))]);
+        write_artifact(&path, &doc).expect("writes");
+        let err = read_artifact(&path).expect_err("no records array");
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("records"), "unhelpful error: {err}");
+    }
+
+    #[test]
+    fn other_schemas_and_bad_rows_are_errors_naming_the_file() {
+        let path = temp_file("bad.json");
+        let name = path.display().to_string();
+        let mut doc = outcome().artifact();
+        doc.set("schema", Json::Str("dbshare-bench/1".into()));
+        write_artifact(&path, &doc).expect("writes");
+        let old_schema = read_artifact(&path).expect_err("schema 1 is rejected");
+
+        // A row the store would reject: no metric fingerprint.
+        let mut doc = outcome().artifact();
+        if let Some(Json::Arr(mut rows)) = doc.remove("records") {
+            rows[1].remove("metric_fingerprint");
+            doc.set("records", Json::Arr(rows));
+        }
+        write_artifact(&path, &doc).expect("writes");
+        let bad_row = read_artifact(&path).expect_err("incomplete row is rejected");
+        std::fs::remove_file(&path).ok();
+        let missing = read_artifact(&path).expect_err("missing file");
+
+        assert!(old_schema.contains(&name) && old_schema.contains("dbshare-bench/1"));
+        assert!(bad_row.contains(&name) && bad_row.contains("record 1"));
+        assert!(bad_row.contains("metric_fingerprint"), "{bad_row}");
+        assert!(missing.contains(&name) && missing.contains("cannot read"));
     }
 }

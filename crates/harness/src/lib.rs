@@ -10,9 +10,9 @@
 //!    shared `Mutex<VecDeque<_>>` queue,
 //! 3. reassembles the results into ordered [`Series`] that are
 //!    **byte-identical to a serial run** for any worker count, and
-//! 4. records per-job wall-clock and headline metrics into a
-//!    `BENCH_repro.json` artifact ([`artifact`]) written with the
-//!    in-repo dependency-free JSON value ([`json`]).
+//! 4. turns every job into one experiment-store [`Record`], appended
+//!    to the store ([`History`]) and written as the rows of the
+//!    `BENCH_repro.json` artifact ([`artifact`]).
 //!
 //! ```no_run
 //! use dbshare_harness::{Harness, Sweep};
@@ -34,7 +34,7 @@ pub mod rss;
 pub mod ticker;
 
 pub use alloc_track::CountingAlloc;
-pub use artifact::{fingerprint, write_artifact, SCHEMA};
+pub use artifact::{fingerprint, read_artifact, write_artifact, SCHEMA};
 pub use knee::{run_knee, KneeOutcome};
 pub use ticker::Ticker;
 // The JSON value moved into the experiment store crate (the store is
@@ -104,15 +104,11 @@ impl Outcome {
             .map(|f| f.series.as_slice())
     }
 
-    /// Builds the `BENCH_repro.json` document for this run.
+    /// Builds the `BENCH_repro.json` document for this run: its rows
+    /// are [`Outcome::store_records`] under this build's
+    /// [`provenance`], the rows a [`History`] run appends.
     pub fn artifact(&self) -> Json {
-        artifact::artifact(
-            &self.results,
-            self.workers,
-            self.host_cpus,
-            self.total_wall_secs,
-            self.created_unix,
-        )
+        artifact::document(&self.results, &self.store_records(&provenance()))
     }
 
     /// The run's results as experiment-store rows: one [`Record`] per
@@ -172,14 +168,23 @@ impl Outcome {
     }
 }
 
-/// Where (and as whom) a harness persists its runs: the store file to
-/// append to and the build provenance to stamp every row with.
+/// The build provenance of this harness: git revision, rustc version
+/// and build profile, captured by the crate's build script. Every row
+/// a [`History`] run appends, and every artifact row, carries it.
+pub fn provenance() -> Provenance {
+    Provenance {
+        git_revision: env!("DBSHARE_GIT_REVISION").to_string(),
+        rustc_version: env!("DBSHARE_RUSTC_VERSION").to_string(),
+        build_profile: env!("DBSHARE_BUILD_PROFILE").to_string(),
+    }
+}
+
+/// Where a harness persists its runs: the store file to append to.
+/// Rows are stamped with the build's [`provenance`].
 #[derive(Debug, Clone)]
 pub struct History {
     /// The store file (conventionally `exphistory/history.jsonl`).
     pub path: PathBuf,
-    /// Build provenance recorded on every row.
-    pub provenance: Provenance,
 }
 
 /// The orchestrator: worker count, progress reporting, and
@@ -338,7 +343,7 @@ impl Harness {
             // Append after every grid run. Warnings go to stderr so
             // stdout stays byte-identical for any harness settings.
             let store = Store::new(&history.path);
-            match store.append(&outcome.store_records(&history.provenance)) {
+            match store.append(&outcome.store_records(&provenance())) {
                 Ok(None) => {}
                 Ok(Some(recovery)) => {
                     eprintln!("history {}: {recovery}", history.path.display());

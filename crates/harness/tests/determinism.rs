@@ -91,12 +91,7 @@ fn artifacts_from_different_worker_counts_agree_on_everything_but_timing() {
                         .filter(|(k, _)| {
                             !matches!(
                                 k.as_str(),
-                                "wall_secs"
-                                    | "total_wall_secs"
-                                    | "created_unix"
-                                    | "workers"
-                                    | "events_per_sec"
-                                    | "peak_rss_mb"
+                                "wall_secs" | "run" | "created_unix" | "peak_rss_mb"
                             )
                         })
                         .map(|(k, v)| (k.clone(), walk(v)))

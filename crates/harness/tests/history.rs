@@ -1,9 +1,10 @@
 //! The persistence hook: each grid run appends one store row per job,
-//! and the simulated content of those rows (fingerprints, events,
+//! the simulated content of those rows (fingerprints, events,
 //! metrics — everything except host timing) is identical for any
-//! worker count.
+//! worker count, and the run's `BENCH_repro.json` rows are exactly the
+//! rows it appended.
 
-use dbshare_harness::{Harness, History, Provenance, Store, Sweep};
+use dbshare_harness::{provenance, Harness, History, Json, Record, Store, Sweep};
 use dbshare_sim::experiments::{fig41_grid, RunLength};
 use std::path::PathBuf;
 
@@ -32,15 +33,7 @@ fn temp_store(name: &str) -> PathBuf {
 #[test]
 fn each_run_appends_rows_that_agree_across_worker_counts() {
     let path = temp_store("append.jsonl");
-    let provenance = Provenance {
-        git_revision: "test-rev".into(),
-        rustc_version: "test-rustc".into(),
-        build_profile: "test".into(),
-    };
-    let history = History {
-        path: path.clone(),
-        provenance,
-    };
+    let history = History { path: path.clone() };
 
     let first = Harness::new()
         .workers(1)
@@ -58,7 +51,7 @@ fn each_run_appends_rows_that_agree_across_worker_counts() {
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.run, first.run_id);
         assert_eq!(y.run, second.run_id);
-        assert_eq!(x.provenance.git_revision, "test-rev");
+        assert_eq!(x.provenance, provenance());
         // Same grid => same configs, and the simulator is
         // deterministic => bit-identical metrics, at any worker count.
         assert_eq!(x.config_fingerprint, y.config_fingerprint);
@@ -68,4 +61,16 @@ fn each_run_appends_rows_that_agree_across_worker_counts() {
         assert_eq!(x.throughput_tps, y.throughput_tps);
         assert!(x.metric_fingerprint.len() == 16);
     }
+
+    // One schema: the artifact's rows, read back as store records, are
+    // the rows the same run appended.
+    let doc = Json::parse(&second.artifact().render()).expect("artifact parses");
+    let rows: Vec<Record> = doc
+        .get("records")
+        .and_then(Json::as_arr)
+        .expect("records array")
+        .iter()
+        .map(|row| Record::from_json(row).expect("artifact row is a store record"))
+        .collect();
+    assert_eq!(rows, b);
 }
